@@ -16,6 +16,11 @@
 #include "sim/schedule.hpp"
 #include "sim/world.hpp"
 
+// HEAD at configure time, or empty outside a git checkout.
+#ifndef TBWF_BUILD_GIT_SHA
+#define TBWF_BUILD_GIT_SHA ""
+#endif
+
 namespace tbwf::bench {
 
 inline void banner(const std::string& title, const std::string& claim) {
@@ -188,15 +193,17 @@ class JsonReporter {
     config.emplace_back(key, value);
   }
 
-  /// Automatic run metadata: the producing commit (CI exports
-  /// GITHUB_SHA; local runs may export TBWF_GIT_SHA), the row count and
-  /// how many distinct seeds fed the rows -- enough provenance to tell
-  /// two BENCH_*.json artifacts apart. set_meta() entries override.
+  /// Automatic run metadata: the producing commit (TBWF_GIT_SHA, else
+  /// CI's GITHUB_SHA, else the HEAD the build was configured at -- see
+  /// bench/CMakeLists.txt), the row count and how many distinct seeds
+  /// fed the rows -- enough provenance to tell two BENCH_*.json
+  /// artifacts apart. set_meta() entries override.
   Config stamped_meta() const {
     Config meta;
     const char* sha = std::getenv("TBWF_GIT_SHA");
     if (sha == nullptr || *sha == '\0') sha = std::getenv("GITHUB_SHA");
-    upsert(meta, "git_sha", sha != nullptr && *sha != '\0' ? sha : "unknown");
+    if (sha == nullptr || *sha == '\0') sha = TBWF_BUILD_GIT_SHA;
+    upsert(meta, "git_sha", *sha != '\0' ? sha : "unknown");
     upsert(meta, "rows", fmt_u(rows_.size()));
     std::vector<std::uint64_t> seeds;
     for (const Row& r : rows_) {

@@ -62,9 +62,14 @@ class BoostedWf {
       const bool panicked = co_await env.read(panic_);
       if (!panicked) {
         // Fast path: operate directly on the OF object.
-        qa::QaResponse<Result> res = next_is_query
-                                         ? co_await qa_.query(env)
-                                         : co_await qa_.invoke(env, op);
+        // if/else, not ?:: GCC 12 double-destroys the response when
+        // both arms of a conditional co_await a vector-valued Result.
+        qa::QaResponse<Result> res;
+        if (next_is_query) {
+          res = co_await qa_.query(env);
+        } else {
+          res = co_await qa_.invoke(env, op);
+        }
         if (res.ok()) {
           log_.completions[p].push_back(env.now());
           co_return res.value;
@@ -95,9 +100,14 @@ class BoostedWf {
 
       // Owner phase: run to completion, effectively solo.
       for (;;) {
-        qa::QaResponse<Result> res = next_is_query
-                                         ? co_await qa_.query(env)
-                                         : co_await qa_.invoke(env, op);
+        // if/else, not ?:: GCC 12 double-destroys the response when
+        // both arms of a conditional co_await a vector-valued Result.
+        qa::QaResponse<Result> res;
+        if (next_is_query) {
+          res = co_await qa_.query(env);
+        } else {
+          res = co_await qa_.invoke(env, op);
+        }
         if (res.ok()) {
           co_await env.write(panic_, false);
           co_await env.write(token_, Token{my_ts, sim::kNoPid});

@@ -33,9 +33,14 @@ class OfObject {
     ++log_.started[p];
     bool next_is_query = false;
     for (;;) {
-      qa::QaResponse<Result> res = next_is_query
-                                       ? co_await qa_.query(env)
-                                       : co_await qa_.invoke(env, op);
+      // if/else, not ?:: GCC 12 double-destroys the response when
+      // both arms of a conditional co_await a vector-valued Result.
+      qa::QaResponse<Result> res;
+      if (next_is_query) {
+        res = co_await qa_.query(env);
+      } else {
+        res = co_await qa_.invoke(env, op);
+      }
       if (res.ok()) {
         log_.completions[p].push_back(env.now());
         co_return res.value;

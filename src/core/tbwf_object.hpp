@@ -84,9 +84,14 @@ class TbwfObject {
     bool next_is_query = false;                               // op' = op
     for (;;) {                                                // line 5
       if (io.leader == p) {                                   // line 6
-        qa::QaResponse<Result> res =
-            next_is_query ? co_await qa_.query(env)
-                          : co_await qa_.invoke(env, op);     // line 7
+        // if/else, not ?:: GCC 12 double-destroys the response when
+        // both arms of a conditional co_await a vector-valued Result.
+        qa::QaResponse<Result> res;
+        if (next_is_query) {
+          res = co_await qa_.query(env);
+        } else {
+          res = co_await qa_.invoke(env, op);                 // line 7
+        }
         if (res.ok()) {                                       // line 8
           io.candidate = false;
           log_.completions[p].push_back(env.now());

@@ -52,6 +52,7 @@
 // abortable registers.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -65,6 +66,7 @@
 #include "sim/env.hpp"
 #include "sim/world.hpp"
 #include "util/assert.hpp"
+#include "util/small_vec.hpp"
 
 namespace tbwf::qa {
 
@@ -72,10 +74,29 @@ namespace tbwf::qa {
 // Base-register policies.
 // ---------------------------------------------------------------------------
 
-/// Atomic base registers: reads/writes never abort.
+/// Atomic base registers: reads/writes never abort. read/write return
+/// adapters over the simulator's awaiters (not coroutines, so a register
+/// op allocates no frame), giving the same result shapes as the
+/// abortable base: a read yields an engaged optional, a write yields
+/// true.
 struct AtomicBase {
   template <class Rec>
   using Reg = sim::AtomicReg<Rec>;
+
+  template <class Rec>
+  struct ReadAwaiter {
+    sim::detail::AtomicReadOp<Rec> op;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) { op.await_suspend(h); }
+    std::optional<Rec> await_resume() { return op.await_resume(); }
+  };
+  template <class Rec>
+  struct WriteAwaiter {
+    sim::detail::AtomicWriteOp<Rec> op;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) { op.await_suspend(h); }
+    bool await_resume() { return true; }
+  };
 
   template <class Rec>
   static Reg<Rec> make(sim::World& world, const std::string& name, Rec init,
@@ -83,19 +104,19 @@ struct AtomicBase {
     return world.make_atomic<Rec>(name, std::move(init));
   }
   template <class Rec>
-  static sim::Co<std::optional<Rec>> read(sim::SimEnv& env, Reg<Rec> r) {
-    co_return co_await env.read(r);
+  static ReadAwaiter<Rec> read(sim::SimEnv& env, Reg<Rec> r) {
+    return {env.read(r)};
   }
   template <class Rec>
-  static sim::Co<bool> write(sim::SimEnv& env, Reg<Rec> r, Rec v) {
-    co_await env.write(r, std::move(v));
-    co_return true;
+  static WriteAwaiter<Rec> write(sim::SimEnv& env, Reg<Rec> r, Rec v) {
+    return {env.write(r, std::move(v))};
   }
 };
 
 /// Abortable base registers (single-writer, any reader): any operation
 /// may abort under contention; an aborted base write may or may not
 /// have taken effect, which the protocol treats as "accept adoptable".
+/// read/write hand back the simulator's awaiters directly.
 struct AbortableBase {
   template <class Rec>
   using Reg = sim::AbortableReg<Rec>;
@@ -107,12 +128,14 @@ struct AbortableBase {
                                      sim::kNoPid);
   }
   template <class Rec>
-  static sim::Co<std::optional<Rec>> read(sim::SimEnv& env, Reg<Rec> r) {
-    co_return co_await env.read(r);
+  static sim::detail::AbortableReadOp<Rec> read(sim::SimEnv& env,
+                                                Reg<Rec> r) {
+    return env.read(r);
   }
   template <class Rec>
-  static sim::Co<bool> write(sim::SimEnv& env, Reg<Rec> r, Rec v) {
-    co_return co_await env.write(r, std::move(v));
+  static sim::detail::AbortableWriteOp<Rec> write(sim::SimEnv& env,
+                                                  Reg<Rec> r, Rec v) {
+    return env.write(r, std::move(v));
   }
 };
 
@@ -152,13 +175,17 @@ class QaUniversal {
     }
   };
 
+  /// Processes whose per-process arrays a StateRec stores inline; more
+  /// processes spill those arrays to the heap.
+  static constexpr std::size_t kInlinePids = 4;
+
   /// One link of the decided chain: the object state after `seq` decided
   /// operations plus each process's last applied (uid, result).
   struct StateRec {
     std::uint64_t seq = 0;
     State state{};
-    std::vector<std::uint64_t> last_uid;
-    std::vector<Result> last_result;
+    util::SmallVec<std::uint64_t, kInlinePids> last_uid;
+    util::SmallVec<Result, kInlinePids> last_result;
   };
 
   /// REG[p]: everything process p publishes.
@@ -186,6 +213,7 @@ class QaUniversal {
           world, "QaReg[" + std::to_string(p) + "]", init, policy, p));
     }
     mine_.assign(n_, init);
+    view_.assign(n_, std::vector<Record>(n_));
     local_decided_.assign(n_, genesis);
     round_.assign(n_, 0);
     uid_counter_.assign(n_, 0);
@@ -242,9 +270,8 @@ class QaUniversal {
     noop.has_op = false;
     (void)co_await attempt_once(env, p, noop);
 
-    auto recs = co_await read_all(env, p);
-    if (!recs.has_value()) co_return Response::make_bottom();
-    const StateRec& d = frontier(*recs, p);
+    if (!co_await read_all(env, p)) co_return Response::make_bottom();
+    const StateRec& d = frontier(view_[p], p);
     if (d.last_uid[p] == uid) {
       co_return Response::make_ok(d.last_result[p]);
     }
@@ -266,9 +293,8 @@ class QaUniversal {
   /// decided cache. The batched engine polls this between announces.
   sim::Co<std::optional<StateRec>> read_frontier(sim::SimEnv& env) {
     const sim::Pid p = env.pid();
-    auto recs = co_await read_all(env, p);
-    if (!recs.has_value()) co_return std::nullopt;
-    StateRec d = frontier(*recs, p);
+    if (!co_await read_all(env, p)) co_return std::nullopt;
+    StateRec d = frontier(view_[p], p);
     if (d.seq > local_decided_[p].seq) local_decided_[p] = d;
     co_return d;
   }
@@ -343,9 +369,12 @@ class QaUniversal {
     Result result{};
   };
 
-  sim::Co<std::optional<std::vector<Record>>> read_all(sim::SimEnv& env,
-                                                       sim::Pid self) {
-    std::vector<Record> recs(n_);
+  /// One read pass over all records into view_[self] (the caller's own
+  /// slot comes from mine_); false if a base read aborted, leaving the
+  /// view partly filled. The view is overwritten by the caller's next
+  /// pass, so callers copy out what must outlive it.
+  sim::Co<bool> read_all(sim::SimEnv& env, sim::Pid self) {
+    std::vector<Record>& recs = view_[self];
     for (sim::Pid q = 0; q < n_; ++q) {
       if (q == self) {
         recs[q] = mine_[self];
@@ -353,10 +382,10 @@ class QaUniversal {
       }
       std::optional<Record> r = co_await Base::template read<Record>(
           env, regs_[q]);
-      if (!r.has_value()) co_return std::nullopt;
+      if (!r.has_value()) co_return false;
       recs[q] = std::move(*r);
     }
-    co_return recs;
+    co_return true;
   }
 
   /// Highest decided record across `recs` and p's local cache.
@@ -384,12 +413,11 @@ class QaUniversal {
     return false;
   }
 
-  sim::Co<bool> publish(sim::SimEnv& env, sim::Pid p) {
-    // mine_[p] holds the record we want visible; the register write may
-    // abort under an abortable base.
+  /// Write mine_[p], the record p wants visible, to p's register. The
+  /// returned awaiter yields false iff an abortable base write aborted.
+  auto publish(sim::SimEnv& env, sim::Pid p) {
     ++publishes_[p];
-    co_return co_await Base::template write<Record>(env, regs_[p],
-                                                    mine_[p]);
+    return Base::template write<Record>(env, regs_[p], mine_[p]);
   }
 
   sim::Co<AttemptOutcome> attempt_once(sim::SimEnv& env, sim::Pid p,
@@ -397,12 +425,11 @@ class QaUniversal {
     AttemptOutcome out;
 
     // Step 1: read the frontier.
-    auto recs1 = co_await read_all(env, p);
-    if (!recs1.has_value()) {
+    if (!co_await read_all(env, p)) {
       out.kind = AttemptKind::AbortNoEffect;
       co_return out;
     }
-    StateRec d = frontier(*recs1, p);
+    StateRec d = frontier(view_[p], p);
     if (d.seq > local_decided_[p].seq) local_decided_[p] = d;
     const Token me{d.seq + 1, ++round_[p], p};
 
@@ -415,15 +442,15 @@ class QaUniversal {
     }
 
     // Step 3: read; abort on conflict; adopt the highest floating accept.
-    auto recs2 = co_await read_all(env, p);
-    if (!recs2.has_value() || conflicts(*recs2, p, me)) {
+    const bool read2 = co_await read_all(env, p);
+    if (!read2 || conflicts(view_[p], p, me)) {
       out.kind = AttemptKind::AbortNoEffect;
       co_return out;
     }
     const Record* adopt = nullptr;
     for (sim::Pid q = 0; q < n_; ++q) {
       if (q == p) continue;
-      const Record& rec = (*recs2)[q];
+      const Record& rec = view_[p][q];
       if (rec.accepted.seq == me.seq &&
           (adopt == nullptr || rec.accepted.gt(adopt->accepted))) {
         adopt = &rec;
@@ -460,8 +487,8 @@ class QaUniversal {
     // Step 5: validate. (The drop_decide_fence mutant skips this read --
     // exactly the bug the verify layer's explorer must catch.)
     if (!mutations_.drop_decide_fence) {
-      auto recs3 = co_await read_all(env, p);
-      if (!recs3.has_value() || conflicts(*recs3, p, me)) {
+      const bool read3 = co_await read_all(env, p);
+      if (!read3 || conflicts(view_[p], p, me)) {
         out.kind = AttemptKind::AbortMaybeEffect;
         co_return out;
       }
@@ -490,6 +517,10 @@ class QaUniversal {
   /// Mirror of what p last tried to publish in its own register; with an
   /// atomic base this equals the register content.
   std::vector<Record> mine_;
+  /// view_[p]: p's last read pass over all records (see read_all). One
+  /// buffer per process suffices because, as with mine_, a process runs
+  /// one operation on the object at a time.
+  std::vector<std::vector<Record>> view_;
   std::vector<StateRec> local_decided_;
   std::vector<std::uint64_t> round_;
   std::vector<std::uint64_t> uid_counter_;

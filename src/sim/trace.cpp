@@ -83,12 +83,12 @@ std::vector<Pid> Trace::timely_set(Step bound) const {
 }
 
 std::uint64_t Trace::digest() const {
-  std::uint64_t h = util::hash_range(util::kFnvOffset, steps_);
-  h = util::hash_mix(h, fault_log_.size());
+  std::uint64_t h = util::digest_range(util::kFnvOffset, steps_);
+  h = util::digest_mix(h, fault_log_.size());
   for (const FaultEvent& ev : fault_log_) {
-    h = util::hash_mix(h, ev.at);
-    h = util::hash_mix(h, ev.pid);
-    h = util::hash_mix(h, ev.restart);
+    h = util::digest_mix(h, ev.at);
+    h = util::digest_mix(h, ev.pid);
+    h = util::digest_mix(h, ev.restart);
   }
   return h;
 }

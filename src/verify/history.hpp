@@ -23,7 +23,6 @@
 
 #include <concepts>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -110,7 +109,9 @@ class HistoryRecorder {
     const std::size_t idx = begin(env.pid(), op, env.now());
     qa::QaResponse<Result> res = co_await obj.invoke(env, std::move(op));
     end(idx, res, env.now());
-    last_invoke_[static_cast<std::size_t>(env.pid())] = idx;
+    const auto p = static_cast<std::size_t>(env.pid());
+    if (p >= last_invoke_.size()) last_invoke_.resize(p + 1, kNoInvoke);
+    last_invoke_[p] = idx;
     co_return res;
   }
 
@@ -122,8 +123,9 @@ class HistoryRecorder {
   sim::Co<qa::QaResponse<Result>> query(QaObj& obj, sim::SimEnv& env) {
     qa::QaResponse<Result> res = co_await obj.query(env);
     const auto p = static_cast<std::size_t>(env.pid());
-    if (last_invoke_.count(p) != 0 && !res.bottom()) {
-      HistoryOp<S>& h = ops_[last_invoke_.at(p)];
+    if (p < last_invoke_.size() && last_invoke_[p] != kNoInvoke &&
+        !res.bottom()) {
+      HistoryOp<S>& h = ops_[last_invoke_[p]];
       if (h.status == OpStatus::Bottom || h.status == OpStatus::Pending) {
         h.status = res.ok() ? OpStatus::Ok : OpStatus::NotApplied;
         if (res.ok()) h.result = res.value;
@@ -182,8 +184,11 @@ class HistoryRecorder {
     }
   }
 
+  static constexpr std::size_t kNoInvoke = ~std::size_t{0};
+
   std::vector<HistoryOp<S>> ops_;
-  std::map<std::size_t, std::size_t> last_invoke_;
+  /// last_invoke_[pid] = history index of pid's last invoke, or kNoInvoke.
+  std::vector<std::size_t> last_invoke_;
 };
 
 }  // namespace tbwf::verify

@@ -92,8 +92,14 @@ class TurnQueue {
     const std::size_t i = static_cast<std::size_t>(p);
     has_op_[i] = true;
     op_digest_[i] = util::kFnvOffset;
-    Response r = op.is_enqueue ? co_await enqueue(env, p, op.value)
-                               : co_await dequeue(env, p);
+    // if/else, not ?: with a co_await in each arm (GCC 12 miscompiles
+    // that shape; see core::TbwfObject::invoke).
+    Response r;
+    if (op.is_enqueue) {
+      r = co_await enqueue(env, p, op.value);
+    } else {
+      r = co_await dequeue(env, p);
+    }
     last_[i] = r;
     // Coroutine locals (collected views, the chosen head) die here.
     op_digest_[i] = 0;

@@ -27,6 +27,11 @@ TEST(Explorer, SoloWorkloadExhaustsQuickly) {
   opt.max_depth = 200;
   Explorer explorer(make_qa_run_factory(config), opt);
   const ExploreResult result = explorer.explore();
+  // Search pin: exact ExploreStats of this configuration. They move only
+  // if the explorer's search itself changes (docs/VERIFY.md).
+  EXPECT_EQ(result.stats.summary(),
+            "runs=8 steps=36 distinct_states=16 sleep_skips=7 "
+            "preemption_skips=0 state_prunes=0");
   EXPECT_TRUE(result.clean()) << result.summary();
   EXPECT_FALSE(result.violation_found);
   EXPECT_LT(result.stats.runs, 50u) << result.stats.summary();
@@ -42,6 +47,9 @@ TEST(Explorer, UnmutatedCounterStackN2IsClean) {
   opt.max_runs = 60000;
   Explorer explorer(make_qa_run_factory(counter_explore_config(2, 1)), opt);
   const ExploreResult result = explorer.explore();
+  EXPECT_EQ(result.stats.summary(),
+            "runs=413 steps=8169 distinct_states=872 sleep_skips=275 "
+            "preemption_skips=0 state_prunes=341");
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_GT(result.stats.sleep_skips + result.stats.state_prunes, 0u)
       << "reductions never fired: " << result.stats.summary();
@@ -61,7 +69,13 @@ TEST(Explorer, SleepSetsReduceTheTree) {
   Explorer reduced(make_qa_run_factory(config), with);
   Explorer naive(make_qa_run_factory(config), without);
   const ExploreResult r = reduced.explore();
+  EXPECT_EQ(r.stats.summary(),
+            "runs=8 steps=36 distinct_states=16 sleep_skips=7 "
+            "preemption_skips=0 state_prunes=0");
   const ExploreResult n = naive.explore();
+  EXPECT_EQ(n.stats.summary(),
+            "runs=8 steps=64 distinct_states=0 sleep_skips=0 "
+            "preemption_skips=0 state_prunes=0");
   EXPECT_FALSE(r.violation_found) << r.summary();
   EXPECT_FALSE(n.violation_found) << n.summary();
   EXPECT_LE(r.stats.runs, n.stats.runs)
@@ -80,6 +94,9 @@ TEST(Explorer, ExplorationIsDeterministic) {
   };
   const ExploreResult a = run_once();
   const ExploreResult b = run_once();
+  EXPECT_EQ(a.stats.summary(),
+            "runs=413 steps=8169 distinct_states=872 sleep_skips=275 "
+            "preemption_skips=0 state_prunes=341");
   EXPECT_EQ(a.violation_found, b.violation_found);
   EXPECT_EQ(a.stats.runs, b.stats.runs);
   EXPECT_EQ(a.stats.steps, b.stats.steps);
@@ -95,6 +112,9 @@ TEST(Explorer, PreemptionBoundCutsChoices) {
   opt.max_preemptions = 2;
   Explorer explorer(make_qa_run_factory(counter_explore_config(2, 1)), opt);
   const ExploreResult result = explorer.explore();
+  EXPECT_EQ(result.stats.summary(),
+            "runs=29 steps=500 distinct_states=260 sleep_skips=37 "
+            "preemption_skips=77 state_prunes=10");
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_GT(result.stats.preemption_skips, 0u) << result.stats.summary();
 }
@@ -109,6 +129,9 @@ TEST(Explorer, MeetsIssueBoundsAtN3) {
   opt.max_runs = 12000;
   Explorer explorer(make_qa_run_factory(counter_explore_config(3, 1)), opt);
   const ExploreResult result = explorer.explore();
+  EXPECT_EQ(result.stats.summary(),
+            "runs=12000 steps=552469 distinct_states=14432 sleep_skips=15909 "
+            "preemption_skips=0 state_prunes=10478 (run budget exhausted)");
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_TRUE(result.stats.runs >= 10000 || result.clean())
       << result.summary();

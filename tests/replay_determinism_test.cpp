@@ -162,6 +162,13 @@ TEST(ReplayDeterminism, ZooCounterexampleArtifactReplaysBitIdentically) {
   opt.max_depth = 500;
   opt.max_runs = 60000;
   const verify::ExploreResult result = verify::Explorer(factory, opt).explore();
+  // Search pin: exact ExploreStats of this configuration. They move only
+  // if the explorer's search itself changes (docs/VERIFY.md).
+  EXPECT_EQ(result.stats.summary(),
+            "runs=5 steps=161 distinct_states=34 sleep_skips=8 "
+            "preemption_skips=0 state_prunes=0");
+  EXPECT_EQ(result.artifact.schedule.size(), 14u);
+  EXPECT_EQ(result.artifact.trace_digest, 0x906287546366ba8aull);
   ASSERT_TRUE(result.violation_found) << result.summary();
   ASSERT_FALSE(result.artifact.schedule.empty());
 

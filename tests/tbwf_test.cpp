@@ -10,6 +10,7 @@
 #include "core/tbwf.hpp"
 #include "sim/schedule.hpp"
 #include "sim/world.hpp"
+#include "zoo/zoo_types.hpp"
 
 namespace tbwf::core {
 namespace {
@@ -232,6 +233,57 @@ TEST(Tbwf, FullStackDeterminism) {
     return counts;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// -- a vector-valued Result through Figure 7 ------------------------------------------
+
+// Snapshot scans return the whole view, so every completed scan hands a
+// heap-owning Result up through TbwfObject::invoke. Each process
+// alternates writing its own segment with scanning; only p writes
+// segment p, so a scan by p must show p's latest completed update.
+struct SnapshotWorker {
+  static Task run(SimEnv& env, TbwfObject<zoo::SnapshotType>& obj,
+                  int rounds, int segments, int& done, bool& views_ok) {
+    const Pid p = env.pid();
+    for (int k = 1; k <= rounds; ++k) {
+      const auto echo =
+          co_await obj.invoke(env, zoo::SnapshotType::update(p, k));
+      views_ok = views_ok && echo.empty();
+      const auto view = co_await obj.invoke(env, zoo::SnapshotType::scan());
+      views_ok = views_ok && static_cast<int>(view.size()) == segments &&
+                 view[static_cast<std::size_t>(p)] == k;
+      ++done;
+    }
+  }
+};
+
+TEST(Tbwf, VectorResultOpsCompleteUnderContention) {
+  const int n = 3;
+  const int segments = 8;
+  const int rounds = 6;
+  auto specs = sim::uniform_specs(n, ActivitySpec::timely(4 * n));
+  World world(n, std::make_unique<sim::TimelinessSchedule>(specs, 17));
+  TbwfSystem<zoo::SnapshotType> sys(
+      world, zoo::SnapshotType::initial(segments),
+      OmegaBackend::AtomicRegisters);
+  std::vector<int> done(n, 0);
+  bool views_ok = true;
+  for (Pid p = 0; p < n; ++p) {
+    world.spawn(p, "snapshot", [&, p](SimEnv& env) {
+      return SnapshotWorker::run(env, sys.object(), rounds, segments,
+                                 done[static_cast<std::size_t>(p)],
+                                 views_ok);
+    });
+  }
+  world.run(6000000);
+  for (Pid p = 0; p < n; ++p) {
+    EXPECT_EQ(done[static_cast<std::size_t>(p)], rounds) << "p" << p;
+  }
+  EXPECT_TRUE(views_ok);
+  const auto final_view = sys.object().qa().peek_frontier().state;
+  for (Pid p = 0; p < n; ++p) {
+    EXPECT_EQ(final_view[static_cast<std::size_t>(p)], rounds) << "p" << p;
+  }
 }
 
 }  // namespace

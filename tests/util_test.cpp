@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 #include <vector>
 
+#include "util/hash.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
+#include "util/small_vec.hpp"
 
 namespace tbwf {
 namespace {
@@ -175,6 +179,91 @@ TEST(Logging, SuppressedBelowThresholdAndEmitsAbove) {
   util::log_emit(util::LogLevel::Warn, "below threshold, dropped");
   util::set_log_level(prev);
   SUCCEED();
+}
+
+
+// -- hashing: frozen digests, strong fingerprints ------------------------------
+
+TEST(Digest, WordFoldIsFrozenByteWiseFnv1a) {
+  // Persisted digests (trace digests in artifacts) fold each value as
+  // FNV-1a over its eight little-endian bytes; this value is frozen.
+  const std::vector<std::uint16_t> steps = {0, 1, 2};
+  std::uint64_t h = util::digest_range(util::kFnvOffset, steps);
+  h = util::digest_mix(h, 7);
+  EXPECT_EQ(h, 0x0b2dcf67da3ad262ULL);
+}
+
+TEST(Fingerprint, EveryInputBitAvalanches) {
+  // Flipping one bit of the seed or of the value must flip about half
+  // of the output bits, whichever bit it is.
+  util::Rng rng(7);
+  for (int bit = 0; bit < 64; ++bit) {
+    const std::uint64_t mask = std::uint64_t{1} << bit;
+    double seed_flips = 0, value_flips = 0;
+    const int samples = 200;
+    for (int i = 0; i < samples; ++i) {
+      const std::uint64_t seed = rng.next();
+      const std::uint64_t value = rng.next() & 0xFFFF;  // small, like ids
+      const std::uint64_t base = util::hash_mix(seed, value);
+      seed_flips += std::popcount(base ^ util::hash_mix(seed ^ mask, value));
+      value_flips += std::popcount(base ^ util::hash_mix(seed, value ^ mask));
+    }
+    EXPECT_NEAR(seed_flips / samples, 32.0, 3.0) << "seed bit " << bit;
+    EXPECT_NEAR(value_flips / samples, 32.0, 3.0) << "value bit " << bit;
+  }
+}
+
+TEST(Fingerprint, DigestEqualToTheSeedDoesNotCancel) {
+  // Harnesses fold read digests built by the same chain as the state
+  // fingerprint, so seed == value happens; it must not collapse states.
+  std::set<std::uint64_t> seen;
+  util::Rng rng(11);
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t h = rng.next();
+    seen.insert(util::hash_mix(h, h));
+  }
+  EXPECT_EQ(seen.size(), 1000u);
+}
+
+TEST(Fingerprint, RangesAreLengthPrefixed) {
+  const std::vector<int> a = {1, 2};
+  const std::vector<int> b = {1, 2, 0};
+  EXPECT_NE(util::hash_range(util::kFnvOffset, a),
+            util::hash_range(util::kFnvOffset, b));
+}
+
+// -- SmallVec -------------------------------------------------------------------
+
+TEST(SmallVec, InlineAndSpilledBehaveAlike) {
+  for (const std::size_t n : {std::size_t{0}, std::size_t{3},
+                              std::size_t{4}, std::size_t{9}}) {
+    util::SmallVec<std::vector<int>, 4> v;
+    v.assign(n, std::vector<int>{5});
+    ASSERT_EQ(v.size(), n);
+    util::SmallVec<std::vector<int>, 4> copy = v;
+    for (std::size_t i = 0; i < n; ++i) copy[i].push_back(static_cast<int>(i));
+    std::size_t visited = 0;
+    for (const std::vector<int>& e : v) {
+      EXPECT_EQ(e, std::vector<int>{5}) << "copies must not alias";
+      ++visited;
+    }
+    EXPECT_EQ(visited, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(copy[i], (std::vector<int>{5, static_cast<int>(i)}));
+    }
+  }
+}
+
+TEST(SmallVec, ReassignAcrossTheInlineBound) {
+  util::SmallVec<std::uint64_t, 2> v;
+  v.assign(5, 1);
+  EXPECT_EQ(v.size(), 5u);
+  v.assign(2, 9);
+  EXPECT_EQ(v.size(), 2u);
+  EXPECT_EQ(v[0], 9u);
+  EXPECT_EQ(v[1], 9u);
+  v.assign(3, 4);
+  EXPECT_EQ(v[2], 4u);
 }
 
 }  // namespace

@@ -66,6 +66,11 @@ TEST(ExplorerBatched, BoundedDfsFindsNoViolation) {
       make_qa_batched_run_factory(batched_counter_explore_config(2, 1)),
       batched_bounds("batched-clean"));
   const ExploreResult result = explorer.explore();
+  // Search pin: exact ExploreStats of this configuration. They move only
+  // if the explorer's search itself changes (docs/VERIFY.md).
+  EXPECT_EQ(result.stats.summary(),
+            "runs=14014 steps=716404 distinct_states=30029 sleep_skips=10016 "
+            "preemption_skips=0 state_prunes=9640");
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_TRUE(result.clean()) << result.summary();
   EXPECT_GT(result.stats.runs, 100u);
@@ -79,6 +84,11 @@ TEST(MutationBatched, DropFromBatchIsCaughtAndReplays) {
   Explorer explorer(make_qa_batched_run_factory(config),
                     batched_bounds("drop-from-batch"));
   const ExploreResult result = explorer.explore();
+  EXPECT_EQ(result.stats.summary(),
+            "runs=35 steps=1323 distinct_states=159 sleep_skips=45 "
+            "preemption_skips=0 state_prunes=22");
+  EXPECT_EQ(result.artifact.schedule.size(), 29u);
+  EXPECT_EQ(result.artifact.trace_digest, 0x2ace39e14b32ac59ull);
   ASSERT_TRUE(result.violation_found) << result.summary();
   EXPECT_NE(result.artifact.violation.find("VIOLATION"), std::string::npos);
   ASSERT_FALSE(result.artifact.schedule.empty());
@@ -98,6 +108,9 @@ TEST(MutationBatched, UnmutatedEngineIsCleanAtTheSameBounds) {
       make_qa_batched_run_factory(batched_counter_explore_config(2, 1)),
       batched_bounds("batched-intact"));
   const ExploreResult result = explorer.explore();
+  EXPECT_EQ(result.stats.summary(),
+            "runs=14014 steps=716404 distinct_states=30029 sleep_skips=10016 "
+            "preemption_skips=0 state_prunes=9640");
   EXPECT_FALSE(result.violation_found) << result.summary();
 }
 

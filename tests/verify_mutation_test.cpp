@@ -64,6 +64,13 @@ TEST(MutationDropFence, ExplorerFindsTheLostUpdate) {
   Explorer explorer(make_qa_run_factory(fence_config(true)),
                     fence_bounds("drop-decide-fence"));
   const ExploreResult result = explorer.explore();
+  // Search pin: exact ExploreStats of this configuration. They move only
+  // if the explorer's search itself changes (docs/VERIFY.md).
+  EXPECT_EQ(result.stats.summary(),
+            "runs=8 steps=186 distinct_states=49 sleep_skips=9 "
+            "preemption_skips=0 state_prunes=3");
+  EXPECT_EQ(result.artifact.schedule.size(), 12u);
+  EXPECT_EQ(result.artifact.trace_digest, 0x5ebee6f881ff4489ull);
   ASSERT_TRUE(result.violation_found) << result.summary();
   EXPECT_NE(result.artifact.violation.find("VIOLATION"), std::string::npos);
   EXPECT_FALSE(result.artifact.schedule.empty());
@@ -94,6 +101,9 @@ TEST(MutationDropFence, UnmutatedStackIsCleanAtTheSameBounds) {
   Explorer explorer(make_qa_run_factory(fence_config(false)),
                     fence_bounds("decide-fence-intact"));
   const ExploreResult result = explorer.explore();
+  EXPECT_EQ(result.stats.summary(),
+            "runs=413 steps=8169 distinct_states=872 sleep_skips=275 "
+            "preemption_skips=0 state_prunes=341");
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_TRUE(result.clean()) << result.summary();
 }

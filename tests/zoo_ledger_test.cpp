@@ -58,6 +58,11 @@ TEST(ZooLedger, SpecialistExplorerCleanN2) {
                         ledger_explore_config(2), specialist_maker()),
                     bounds("zoo-ledger-spec-n2"));
   const ExploreResult result = explorer.explore();
+  // Search pin: exact ExploreStats of this configuration. They move only
+  // if the explorer's search itself changes (docs/VERIFY.md).
+  EXPECT_EQ(result.stats.summary(),
+            "runs=24 steps=289 distinct_states=115 sleep_skips=65 "
+            "preemption_skips=0 state_prunes=0");
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_TRUE(result.clean() || result.stats.runs >= 10000)
       << result.summary();
@@ -68,6 +73,9 @@ TEST(ZooLedger, UniversalExplorerCleanN2) {
                         ledger_explore_config(2), universal_maker()),
                     bounds("zoo-ledger-uni-n2"));
   const ExploreResult result = explorer.explore();
+  EXPECT_EQ(result.stats.summary(),
+            "runs=60000 steps=2619365 distinct_states=133885 sleep_skips=40421 "
+            "preemption_skips=0 state_prunes=43844 (run budget exhausted)");
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_TRUE(result.clean() || result.stats.runs >= 10000)
       << result.summary();
@@ -78,6 +86,9 @@ TEST(ZooLedger, SpecialistExplorerCleanN3) {
                         ledger_explore_config(3), specialist_maker()),
                     bounds("zoo-ledger-spec-n3", 8000));
   const ExploreResult result = explorer.explore();
+  EXPECT_EQ(result.stats.summary(),
+            "runs=2166 steps=49605 distinct_states=8828 sleep_skips=10972 "
+            "preemption_skips=0 state_prunes=216");
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_TRUE(result.clean() || result.stats.runs >= 5000)
       << result.summary();
@@ -88,6 +99,9 @@ TEST(ZooLedger, UniversalExplorerCleanN3) {
                         ledger_explore_config(3), universal_maker()),
                     bounds("zoo-ledger-uni-n3", 8000));
   const ExploreResult result = explorer.explore();
+  EXPECT_EQ(result.stats.summary(),
+            "runs=8000 steps=635607 distinct_states=27800 sleep_skips=15903 "
+            "preemption_skips=0 state_prunes=5967 (run budget exhausted)");
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_TRUE(result.clean() || result.stats.runs >= 5000)
       << result.summary();
@@ -114,6 +128,11 @@ TEST(ZooLedger, MutationStaleTsCaught) {
                         specialist_maker(LedgerMutations{.stale_ts = true})),
                     bounds("zoo-ledger-stalets"));
   const ExploreResult result = explorer.explore();
+  EXPECT_EQ(result.stats.summary(),
+            "runs=1 steps=65 distinct_states=11 sleep_skips=0 "
+            "preemption_skips=0 state_prunes=0");
+  EXPECT_EQ(result.artifact.schedule.size(), 10u);
+  EXPECT_EQ(result.artifact.trace_digest, 0x330bdccf20c51d2eull);
   ASSERT_TRUE(result.violation_found) << result.summary();
   EXPECT_NE(result.artifact.violation.find("VIOLATION"), std::string::npos);
   EXPECT_FALSE(result.artifact.schedule.empty());
@@ -124,6 +143,9 @@ TEST(ZooLedger, IntactLedgerCleanAtIdenticalBounds) {
                         reorder_config(), specialist_maker()),
                     bounds("zoo-ledger-ts-intact"));
   const ExploreResult result = explorer.explore();
+  EXPECT_EQ(result.stats.summary(),
+            "runs=44 steps=599 distinct_states=179 sleep_skips=99 "
+            "preemption_skips=0 state_prunes=3");
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_TRUE(result.clean()) << result.summary();
 }

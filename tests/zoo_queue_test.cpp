@@ -86,6 +86,11 @@ TEST(ZooQueue, SpecialistExplorerCleanN2) {
                         queue_explore_config<2>(2), specialist_maker<2>()),
                     bounds("zoo-queue-spec-n2"));
   const ExploreResult result = explorer.explore();
+  // Search pin: exact ExploreStats of this configuration. They move only
+  // if the explorer's search itself changes (docs/VERIFY.md).
+  EXPECT_EQ(result.stats.summary(),
+            "runs=382 steps=9404 distinct_states=1978 sleep_skips=1243 "
+            "preemption_skips=0 state_prunes=174");
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_TRUE(result.clean() || result.stats.runs >= 10000)
       << result.summary();
@@ -96,6 +101,9 @@ TEST(ZooQueue, UniversalExplorerCleanN2) {
                         queue_explore_config<2>(2), universal_maker<2>()),
                     bounds("zoo-queue-uni-n2"));
   const ExploreResult result = explorer.explore();
+  EXPECT_EQ(result.stats.summary(),
+            "runs=60000 steps=2619365 distinct_states=133885 sleep_skips=40421 "
+            "preemption_skips=0 state_prunes=43844 (run budget exhausted)");
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_TRUE(result.clean() || result.stats.runs >= 10000)
       << result.summary();
@@ -108,6 +116,9 @@ TEST(ZooQueue, SpecialistExplorerCleanN3) {
                         queue_explore_config<2>(3), specialist_maker<2>()),
                     bounds("zoo-queue-spec-n3", 8000));
   const ExploreResult result = explorer.explore();
+  EXPECT_EQ(result.stats.summary(),
+            "runs=8000 steps=369930 distinct_states=32923 sleep_skips=40324 "
+            "preemption_skips=0 state_prunes=5108 (run budget exhausted)");
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_TRUE(result.clean() || result.stats.runs >= 5000)
       << result.summary();
@@ -118,6 +129,9 @@ TEST(ZooQueue, UniversalExplorerCleanN3) {
                         queue_explore_config<2>(3), universal_maker<2>()),
                     bounds("zoo-queue-uni-n3", 8000));
   const ExploreResult result = explorer.explore();
+  EXPECT_EQ(result.stats.summary(),
+            "runs=8000 steps=635607 distinct_states=27800 sleep_skips=15903 "
+            "preemption_skips=0 state_prunes=5967 (run budget exhausted)");
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_TRUE(result.clean() || result.stats.runs >= 5000)
       << result.summary();
@@ -145,6 +159,11 @@ TEST(ZooQueue, MutationDropClaimFenceCaught) {
           specialist_maker<4>(TurnQueueMutations{.drop_claim_fence = true})),
       bounds("zoo-queue-dropfence"));
   const ExploreResult result = explorer.explore();
+  EXPECT_EQ(result.stats.summary(),
+            "runs=5 steps=161 distinct_states=34 sleep_skips=8 "
+            "preemption_skips=0 state_prunes=0");
+  EXPECT_EQ(result.artifact.schedule.size(), 14u);
+  EXPECT_EQ(result.artifact.trace_digest, 0x906287546366ba8aull);
   ASSERT_TRUE(result.violation_found) << result.summary();
   EXPECT_NE(result.artifact.violation.find("VIOLATION"), std::string::npos);
   EXPECT_FALSE(result.artifact.schedule.empty());
@@ -155,6 +174,9 @@ TEST(ZooQueue, IntactQueueCleanAtIdenticalBounds) {
                                                     specialist_maker<4>()),
                     bounds("zoo-queue-fence-intact"));
   const ExploreResult result = explorer.explore();
+  EXPECT_EQ(result.stats.summary(),
+            "runs=34 steps=522 distinct_states=200 sleep_skips=121 "
+            "preemption_skips=0 state_prunes=5");
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_TRUE(result.clean()) << result.summary();
 }

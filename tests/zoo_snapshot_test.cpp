@@ -71,6 +71,11 @@ TEST(ZooSnapshot, SpecialistExplorerCleanN2) {
                         snapshot_explore_config(2), specialist_maker()),
                     bounds("zoo-snap-spec-n2"));
   const ExploreResult result = explorer.explore();
+  // Search pin: exact ExploreStats of this configuration. They move only
+  // if the explorer's search itself changes (docs/VERIFY.md).
+  EXPECT_EQ(result.stats.summary(),
+            "runs=88 steps=1808 distinct_states=544 sleep_skips=361 "
+            "preemption_skips=0 state_prunes=0");
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_TRUE(result.clean() || result.stats.runs >= 10000)
       << result.summary();
@@ -81,6 +86,9 @@ TEST(ZooSnapshot, UniversalExplorerCleanN2) {
                         snapshot_explore_config(2), universal_maker()),
                     bounds("zoo-snap-uni-n2"));
   const ExploreResult result = explorer.explore();
+  EXPECT_EQ(result.stats.summary(),
+            "runs=60000 steps=2619365 distinct_states=133885 sleep_skips=40421 "
+            "preemption_skips=0 state_prunes=43844 (run budget exhausted)");
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_TRUE(result.clean() || result.stats.runs >= 10000)
       << result.summary();
@@ -91,6 +99,9 @@ TEST(ZooSnapshot, BatchedExplorerCleanN2) {
                         snapshot_explore_config(2), batched_maker()),
                     bounds("zoo-snap-bat-n2", 12000));
   const ExploreResult result = explorer.explore();
+  EXPECT_EQ(result.stats.summary(),
+            "runs=12000 steps=899567 distinct_states=29570 sleep_skips=10343 "
+            "preemption_skips=0 state_prunes=9755 (run budget exhausted)");
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_TRUE(result.clean() || result.stats.runs >= 5000)
       << result.summary();
@@ -101,6 +112,9 @@ TEST(ZooSnapshot, SpecialistExplorerCleanN3) {
                         snapshot_explore_config(3), specialist_maker()),
                     bounds("zoo-snap-spec-n3", 8000));
   const ExploreResult result = explorer.explore();
+  EXPECT_EQ(result.stats.summary(),
+            "runs=8000 steps=361374 distinct_states=55363 sleep_skips=84927 "
+            "preemption_skips=0 state_prunes=174 (run budget exhausted)");
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_TRUE(result.clean() || result.stats.runs >= 5000)
       << result.summary();
@@ -111,6 +125,9 @@ TEST(ZooSnapshot, UniversalExplorerCleanN3) {
                         snapshot_explore_config(3), universal_maker()),
                     bounds("zoo-snap-uni-n3", 8000));
   const ExploreResult result = explorer.explore();
+  EXPECT_EQ(result.stats.summary(),
+            "runs=8000 steps=635607 distinct_states=27800 sleep_skips=15903 "
+            "preemption_skips=0 state_prunes=5967 (run budget exhausted)");
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_TRUE(result.clean() || result.stats.runs >= 5000)
       << result.summary();
@@ -139,6 +156,11 @@ TEST(ZooSnapshot, MutationDropEmbeddedScanCaught) {
           specialist_maker(SnapshotMutations{.drop_embedded_scan = true})),
       bounds("zoo-snap-dropscan"));
   const ExploreResult result = explorer.explore();
+  EXPECT_EQ(result.stats.summary(),
+            "runs=3 steps=112 distinct_states=22 sleep_skips=3 "
+            "preemption_skips=0 state_prunes=0");
+  EXPECT_EQ(result.artifact.schedule.size(), 12u);
+  EXPECT_EQ(result.artifact.trace_digest, 0xcc1fd97bbdb8f408ull);
   ASSERT_TRUE(result.violation_found) << result.summary();
   EXPECT_NE(result.artifact.violation.find("VIOLATION"), std::string::npos);
   EXPECT_FALSE(result.artifact.schedule.empty());
@@ -149,6 +171,9 @@ TEST(ZooSnapshot, IntactSnapshotCleanAtIdenticalBounds) {
                         borrow_config(), specialist_maker()),
                     bounds("zoo-snap-intact"));
   const ExploreResult result = explorer.explore();
+  EXPECT_EQ(result.stats.summary(),
+            "runs=12 steps=211 distinct_states=134 sleep_skips=83 "
+            "preemption_skips=0 state_prunes=2");
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_TRUE(result.clean()) << result.summary();
 }

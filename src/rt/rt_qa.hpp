@@ -12,11 +12,18 @@
 // of the per-thread protocol state; cross-thread communication goes
 // exclusively through the registers. Per-thread slices are padded to
 // cache lines to avoid false sharing.
+//
+// Records carry their two states by pointer. A state is built exactly
+// once -- genesis, or a proposer's fresh value: a copy of the frontier
+// with the op applied -- and never mutated after its pointer is first
+// written to a register. Register reads and writes, read passes,
+// frontier selection and adoption therefore copy pointers, not states.
+// The publication edge is the cell's release/acquire pair (docs/MODEL.md,
+// "The rt memory model"); reference counts are shared_ptr's own atomics.
 #pragma once
 
 #include <cstdint>
-#include <new>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "qa/qa_object.hpp"
@@ -52,30 +59,31 @@ class RtQaUniversal {
     std::vector<std::uint64_t> last_uid;
     std::vector<Result> last_result;
   };
+  /// Immutable once published; shared by every record and cache that
+  /// holds it.
+  using StatePtr = std::shared_ptr<const StateRec>;
 
   struct Record {
     Token promised;
     Token accepted;
-    StateRec accepted_state;
-    StateRec decided;
+    StatePtr accepted_state;
+    StatePtr decided;
   };
 
   RtQaUniversal(int nthreads, State initial) : n_(nthreads) {
     TBWF_ASSERT(nthreads >= 1, "need at least one thread");
-    StateRec genesis;
-    genesis.seq = 0;
-    genesis.state = std::move(initial);
-    genesis.last_uid.assign(n_, 0);
-    genesis.last_result.assign(n_, Result{});
-    Record init;
-    init.decided = genesis;
-    init.accepted_state = genesis;
+    auto genesis = std::make_shared<StateRec>();
+    genesis->state = std::move(initial);
+    genesis->last_uid.assign(n_, 0);
+    genesis->last_result.assign(n_, Result{});
+    const Record init{Token{}, Token{}, genesis, genesis};
     regs_.reserve(n_);
     locals_ = std::vector<Local>(n_);
     for (int t = 0; t < n_; ++t) {
       regs_.emplace_back(std::make_unique<RtAbortableReg<Record>>(init));
       locals_[t].mine = init;
       locals_[t].local_decided = genesis;
+      locals_[t].view.resize(n_);
     }
   }
 
@@ -113,9 +121,8 @@ class RtQaUniversal {
     Proposal noop{false, Op{}, 0};
     (void)attempt_once(tid, noop);
 
-    auto recs = read_all(tid);
-    if (!recs.has_value()) return Response::make_bottom();
-    const StateRec& d = frontier(*recs, tid);
+    if (!read_all(tid)) return Response::make_bottom();
+    const StateRec& d = *frontier(me.view, tid);
     if (d.last_uid[tid] == uid) {
       return Response::make_ok(d.last_result[tid]);
     }
@@ -125,39 +132,37 @@ class RtQaUniversal {
   }
 
   /// One try-lock read pass over all records: the decided frontier as
-  /// currently visible to `tid` (nullopt if a base read aborted).
+  /// currently visible to `tid` (null if a base read aborted).
   /// Refreshes tid's local decided cache. Called by tid's thread only.
-  std::optional<StateRec> read_frontier(Tid tid) {
-    auto recs = read_all(tid);
-    if (!recs.has_value()) return std::nullopt;
-    StateRec d = frontier(*recs, tid);
-    Local& me = locals_[tid];
-    if (d.seq > me.local_decided.seq) me.local_decided = d;
-    return d;
+  StatePtr read_frontier(Tid tid) {
+    if (!read_all(tid)) return nullptr;
+    return refresh_decided(tid);
   }
 
   /// The highest decided record tid itself has observed. Called by
   /// tid's thread only (per-thread slice, no synchronization).
-  const StateRec& local_decided(Tid tid) const {
+  const StatePtr& local_decided(Tid tid) const {
     return locals_[tid].local_decided;
   }
 
   /// Best-effort snapshot of the decided frontier (retries briefly).
+  /// Reads every thread's local cache, so call it only while no thread
+  /// is operating (before the workers start or after they are joined).
   StateRec frontier_snapshot() {
-    StateRec best = locals_[0].local_decided;
+    StatePtr best = locals_[0].local_decided;
     for (int t = 0; t < n_; ++t) {
-      if (locals_[t].local_decided.seq > best.seq) {
+      if (locals_[t].local_decided->seq > best->seq) {
         best = locals_[t].local_decided;
       }
       for (int tries = 0; tries < 64; ++tries) {
         auto r = regs_[t]->read();
         if (r.has_value()) {
-          if (r->decided.seq > best.seq) best = r->decided;
+          if (r->decided->seq > best->seq) best = std::move(r->decided);
           break;
         }
       }
     }
-    return best;
+    return *best;
   }
 
   int n() const { return n_; }
@@ -181,7 +186,8 @@ class RtQaUniversal {
 
   struct alignas(util::kCacheLineSize) Local {
     Record mine;
-    StateRec local_decided;
+    StatePtr local_decided;
+    std::vector<Record> view;  ///< read_all's reused buffer
     std::uint64_t round = 0;
     std::uint64_t uid_counter = 0;
     std::uint64_t last_real_uid = 0;
@@ -189,27 +195,38 @@ class RtQaUniversal {
     std::uint64_t pending_slot = 0;
   };
 
-  std::optional<std::vector<Record>> read_all(Tid self) {
-    std::vector<Record> recs(n_);
+  /// One read pass into self's view buffer; false iff a base read
+  /// aborted (the view is then partial and must not be used).
+  bool read_all(Tid self) {
+    Local& me = locals_[self];
     for (int t = 0; t < n_; ++t) {
       if (t == static_cast<int>(self)) {
-        recs[t] = locals_[self].mine;
+        me.view[t] = me.mine;
         continue;
       }
       auto r = regs_[t]->read();
-      if (!r.has_value()) return std::nullopt;
-      recs[t] = std::move(*r);
+      if (!r.has_value()) return false;
+      me.view[t] = std::move(*r);
     }
-    return recs;
+    return true;
   }
 
-  const StateRec& frontier(const std::vector<Record>& recs,
+  const StatePtr& frontier(const std::vector<Record>& recs,
                            Tid self) const {
-    const StateRec* best = &locals_[self].local_decided;
+    const StatePtr* best = &locals_[self].local_decided;
     for (const auto& rec : recs) {
-      if (rec.decided.seq > best->seq) best = &rec.decided;
+      if (rec.decided->seq > (*best)->seq) best = &rec.decided;
     }
     return *best;
+  }
+
+  /// Raises tid's local_decided to the frontier of the view its last
+  /// read pass filled, and returns it.
+  const StatePtr& refresh_decided(Tid tid) {
+    Local& me = locals_[tid];
+    const StatePtr& d = frontier(me.view, tid);
+    if (d->seq > me.local_decided->seq) me.local_decided = d;
+    return me.local_decided;
   }
 
   bool conflicts(const std::vector<Record>& recs, Tid self,
@@ -217,7 +234,7 @@ class RtQaUniversal {
     for (int t = 0; t < n_; ++t) {
       if (t == static_cast<int>(self)) continue;
       const Record& rec = recs[t];
-      if (rec.decided.seq >= me.seq) return true;
+      if (rec.decided->seq >= me.seq) return true;
       if (rec.promised.seq > me.seq) return true;
       if (rec.promised.seq == me.seq && rec.promised.gt(me)) return true;
       if (rec.accepted.seq > me.seq) return true;
@@ -226,47 +243,52 @@ class RtQaUniversal {
     return false;
   }
 
-  bool publish(Tid tid) { return regs_[tid]->write(locals_[tid].mine); }
+  /// Sink write of a copy of `mine` (pointer copies): the record it
+  /// displaces, possibly the last holder of a state, dies after the
+  /// cell is released.
+  bool publish(Tid tid) {
+    return regs_[tid]->write(Record(locals_[tid].mine));
+  }
 
   AttemptOutcome attempt_once(Tid tid, const Proposal& proposal) {
     Local& me = locals_[tid];
     AttemptOutcome out;
 
-    auto recs1 = read_all(tid);
-    if (!recs1.has_value()) return out;  // AbortNoEffect
-    StateRec d = frontier(*recs1, tid);
-    if (d.seq > me.local_decided.seq) me.local_decided = d;
-    const Token token{d.seq + 1, ++me.round, tid};
+    if (!read_all(tid)) return out;  // AbortNoEffect
+    // The attempt builds on the frontier, which refresh_decided leaves
+    // in local_decided.
+    const Token token{refresh_decided(tid)->seq + 1, ++me.round, tid};
 
     me.mine.promised = token;
     me.mine.decided = me.local_decided;
     if (!publish(tid)) return out;
 
-    auto recs2 = read_all(tid);
-    if (!recs2.has_value() || conflicts(*recs2, tid, token)) return out;
+    if (!read_all(tid) || conflicts(me.view, tid, token)) return out;
 
     const Record* adopt = nullptr;
     for (int t = 0; t < n_; ++t) {
       if (t == static_cast<int>(tid)) continue;
-      const Record& rec = (*recs2)[t];
+      const Record& rec = me.view[t];
       if (rec.accepted.seq == token.seq &&
           (adopt == nullptr || rec.accepted.gt(adopt->accepted))) {
         adopt = &rec;
       }
     }
 
-    StateRec value;
-    bool adopted = false;
-    if (adopt != nullptr) {
+    StatePtr value;
+    const bool adopted = adopt != nullptr;
+    if (adopted) {
       value = adopt->accepted_state;
-      adopted = true;
     } else {
-      value = d;
-      value.seq = token.seq;
+      // The one place a state is built: the frontier plus our op,
+      // complete before its pointer reaches a register.
+      auto fresh = std::make_shared<StateRec>(*me.local_decided);
+      fresh->seq = token.seq;
       if (proposal.has_op) {
-        value.last_result[tid] = S::apply(value.state, proposal.op);
-        value.last_uid[tid] = proposal.uid;
+        fresh->last_result[tid] = S::apply(fresh->state, proposal.op);
+        fresh->last_uid[tid] = proposal.uid;
       }
+      value = std::move(fresh);
     }
 
     me.mine.accepted = token;
@@ -280,8 +302,7 @@ class RtQaUniversal {
       return out;
     }
 
-    auto recs3 = read_all(tid);
-    if (!recs3.has_value() || conflicts(*recs3, tid, token)) {
+    if (!read_all(tid) || conflicts(me.view, tid, token)) {
       out.kind = AttemptKind::AbortMaybeEffect;
       return out;
     }
@@ -294,7 +315,7 @@ class RtQaUniversal {
       out.kind = AttemptKind::DecidedOther;
     } else {
       out.kind = AttemptKind::DecidedSelf;
-      if (proposal.has_op) out.result = value.last_result[tid];
+      if (proposal.has_op) out.result = value->last_result[tid];
     }
     return out;
   }

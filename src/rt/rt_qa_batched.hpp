@@ -74,6 +74,7 @@ class RtQaBatched {
   using BS = qa::BatchSeq<S>;
   using Inner = RtQaUniversal<BS>;
   using InnerStateRec = typename Inner::StateRec;
+  using InnerStatePtr = typename Inner::StatePtr;
 
   struct Options {
     /// Frontier polls a waiter grants the combiners before running the
@@ -130,6 +131,9 @@ class RtQaBatched {
         locals_(nthreads),
         lane_slots_(lanes_) {
     TBWF_ASSERT(nthreads >= 1, "need at least one thread");
+    for (int t = 0; t < n_; ++t) {
+      locals_[t].cache = inner_.local_decided(static_cast<Tid>(t));
+    }
     TBWF_ASSERT(lanes_ >= nthreads,
                 "each thread needs at least its default lane (lane == tid)");
     ann_.reserve(lanes_);
@@ -186,12 +190,11 @@ class RtQaBatched {
       // Local demux cache first: the decided state this thread's own
       // combines last observed. Own-thread data, no atomics; a stale
       // cache only falls through to the shared frontier below.
-      if (!me.cache.state.done_uid.empty() &&
-          me.cache.state.done_uid[lane] == uid) {
-        TBWF_ASSERT(me.cache.state.done_void[lane] == 0,
+      if (me.cache->state.done_uid[lane] == uid) {
+        TBWF_ASSERT(me.cache->state.done_void[lane] == 0,
                     "collect() op voided without a query tombstone");
         if (!combined) me.fast_completions += 1;
-        return me.cache.state.done_result[lane];
+        return me.cache->state.done_result[lane];
       }
       const FrontierNode* f = domain_.protect(tid, frontier_);
       const bool done = f->done_uid[lane] == uid;
@@ -254,8 +257,7 @@ class RtQaBatched {
     for (int attempt = 0; attempt < options_.combine_attempts; ++attempt) {
       (void)combine_once(tid, /*tombstone_uid=*/0,
                          /*self_lane=*/static_cast<int>(tid));
-      auto fr = inner_.read_frontier(tid);
-      if (fr.has_value()) {
+      if (const auto fr = inner_.read_frontier(tid)) {
         if (auto r = resolve(*fr, tid, uid)) return *r;
       }
     }
@@ -268,12 +270,12 @@ class RtQaBatched {
     const std::uint64_t uid = lane_slots_[tid].last_uid;
     if (uid == 0) return Response::make_not_applied();
     auto fr = inner_.read_frontier(tid);
-    if (fr.has_value()) {
+    if (fr != nullptr) {
       if (auto r = resolve(*fr, tid, uid)) return *r;
     }
     const bool sealed = combine_once(tid, uid);
     fr = inner_.read_frontier(tid);
-    if (sealed && fr.has_value()) {
+    if (sealed && fr != nullptr) {
       if (auto r = resolve(*fr, tid, uid)) return *r;
     }
     return Response::make_bottom();
@@ -330,8 +332,10 @@ class RtQaBatched {
     std::uint64_t combines = 0;
     std::uint64_t fast_completions = 0;
     /// Decided state as of this thread's last combine: collect()'s
-    /// atomics-free demux fast path. Own-thread read/write only.
-    InnerStateRec cache;
+    /// demux fast path, shared with the inner construction (never a
+    /// copy). Own-thread read/write only; genesis until the first
+    /// combine.
+    InnerStatePtr cache;
   };
 
   /// Per-lane producer state; a lane is driven by one thread at a time.
@@ -406,8 +410,8 @@ class RtQaBatched {
 
   bool run_combine(Tid tid, std::uint64_t tombstone_uid, int self_lane) {
     Local& me = locals_[tid];
-    auto fr = inner_.read_frontier(tid);
-    if (!fr.has_value()) return false;
+    const InnerStatePtr fr = inner_.read_frontier(tid);
+    if (fr == nullptr) return false;
     const auto& done = fr->state.done_uid;
 
     typename BS::Op batch;
@@ -440,14 +444,14 @@ class RtQaBatched {
     }
     if (batch.empty()) {
       publish_frontier(tid, *fr);  // catch-up: demux what is decided
-      if (fr->seq > me.cache.seq) me.cache = *fr;
+      if (fr->seq > me.cache->seq) me.cache = fr;
       return true;
     }
     me.combines += 1;
     const auto resp = inner_.invoke(tid, std::move(batch));
-    const InnerStateRec& decided = inner_.local_decided(tid);
-    publish_frontier(tid, decided);
-    if (decided.seq > me.cache.seq) me.cache = decided;
+    const InnerStatePtr& decided = inner_.local_decided(tid);
+    publish_frontier(tid, *decided);
+    if (decided->seq > me.cache->seq) me.cache = decided;
     return resp.ok();
   }
 

@@ -215,19 +215,40 @@ class alignas(util::kCacheLineSize) RtAbortableReg {
   /// Returns false iff the write aborted (cell busy, flake or jam; no
   /// effect). Inside a Drop window the write reports true but the
   /// register keeps its value -- the caller has no way to notice.
+  /// `v` is copied into the storage of the value it displaces, so a
+  /// container that fits is rewritten without allocating.
   bool write(const T& v) {
+    return commit([&](T& displaced) { displaced = v; });
+  }
+
+  /// Sink form of write(): `v` is moved into the cell, and the value it
+  /// displaces is moved out and destroyed only after release(). A
+  /// destructor that frees memory -- the last reference to a shared
+  /// state, say -- then never runs inside the critical section.
+  bool write(T&& v) {
+    T incoming = std::move(v);
+    return commit([&](T& displaced) {
+      using std::swap;
+      swap(displaced, incoming);
+    });
+  }
+
+ private:
+  /// One write: current -> prev_value_, and `fill` turns the displaced
+  /// previous value (now in value_) into the new one, all under the cell.
+  template <class Fill>
+  bool commit(Fill fill) {
     const RtRegFault fault = consult(/*is_write=*/true);
     if (fault == RtRegFault::Abort) return false;
     if (!try_acquire()) return false;
     if (fault != RtRegFault::Drop) {
-      prev_value_ = value_;
-      value_ = v;
+      using std::swap;
+      swap(prev_value_, value_);
+      fill(value_);
     }
     release();
     return true;
   }
-
- private:
   RtRegFault consult(bool is_write) {
     // acquire pairs with set_injector's release: observing the pointer
     // implies observing the windows armed before it was attached.

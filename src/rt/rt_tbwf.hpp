@@ -13,9 +13,14 @@
 // strong primitive the paper's construction deliberately avoids; the
 // simulator backend is the register-only reproduction. E11 only uses
 // this to price the approach against a mutex and a CAS loop on real
-// threads. Fairness note: leadership rotates because a finishing leader
-// releases the lease and waits until someone else has held it (the
-// canonical-use discipline of Definition 6).
+// threads. Fairness note: nothing forces leadership to rotate. A
+// finishing leader releases the lease and returns without waiting; its
+// next operation may win the lease straight back. Non-leaders retry
+// after a bounded backoff (RtTbwfCounter yields every 64 failed tries,
+// RtTbwfObject retries 6 times at once, then backs off exponentially
+// up to 64 yields), so a freed lease goes to whichever thread tries
+// first. That is weaker than the canonical-use discipline of
+// Definition 6.
 #pragma once
 
 #include <atomic>

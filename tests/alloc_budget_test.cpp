@@ -1,4 +1,5 @@
-// Heap-allocation budget of one explored schedule.
+// Heap-allocation budgets: one explored schedule, and one solo
+// real-threads TBWF operation.
 //
 // The explorer replays every schedule from a fresh World, so whatever a
 // simulated QA step allocates is paid hundreds of thousands of times per
@@ -8,6 +9,12 @@
 // record copy, register op or read pass that starts allocating again
 // breaks the budget long before it shows as noise in the benchmark.
 //
+// The rt construction shares decided states by pointer: a solo
+// RtTbwfObject op builds one new state (a copy of the frontier with the
+// op applied) and otherwise copies pointers, so it allocates that state
+// and the result it hands back. Its budget is an exact count, so it
+// gates the saving that wall-clock numbers only report.
+//
 // Sanitizer runtimes interpose their own allocator, so the test skips
 // itself there.
 #include <gtest/gtest.h>
@@ -16,8 +23,11 @@
 #include <cstdlib>
 #include <new>
 
+#include "qa/sequential_type.hpp"
+#include "rt/rt_tbwf.hpp"
 #include "verify/explorer.hpp"
 #include "verify/qa_harness.hpp"
+#include "zoo/zoo_types.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define TBWF_UNDER_SANITIZER 1
@@ -29,7 +39,8 @@
 #endif
 
 namespace {
-// Single-threaded test binary: a plain counter is enough.
+// Single-threaded test binary (the rt cases drive one thread id from
+// the main thread): a plain counter is enough.
 std::uint64_t g_allocations = 0;
 
 void* counted_malloc(std::size_t size) {
@@ -76,3 +87,49 @@ TEST(AllocBudget, ExploredQaCounterScheduleStaysWithinBudget) {
 
 }  // namespace
 }  // namespace tbwf::verify
+
+namespace tbwf::rt {
+namespace {
+
+/// Heap allocations per op of `ops` solo ops after `warmup` more, all
+/// issued as tid 0 of a 3-thread object.
+template <class S, class MakeOp>
+double allocations_per_solo_op(typename S::State initial, MakeOp make_op) {
+  constexpr int kWarmup = 200;
+  constexpr int kOps = 2000;
+  RtTbwfObject<S> obj(3, std::move(initial));
+  for (int i = 0; i < kWarmup; ++i) (void)obj.invoke(0, make_op(i));
+  const std::uint64_t before = g_allocations;
+  for (int i = 0; i < kOps; ++i) (void)obj.invoke(0, make_op(kWarmup + i));
+  return static_cast<double>(g_allocations - before) / kOps;
+}
+
+TEST(AllocBudget, SoloRtTbwfCounterOpStaysWithinBudget) {
+#ifdef TBWF_UNDER_SANITIZER
+  GTEST_SKIP() << "sanitizer allocators make the count meaningless";
+#endif
+  // One new state: the shared block and its last_uid/last_result.
+  const double per_op = allocations_per_solo_op<qa::Counter>(
+      0, [](int) { return qa::Counter::Op{1}; });
+  EXPECT_LE(per_op, 6.0);
+  RecordProperty("allocations_per_op", std::to_string(per_op));
+}
+
+TEST(AllocBudget, SoloRtTbwfSnapshotOpStaysWithinBudget) {
+#ifdef TBWF_UNDER_SANITIZER
+  GTEST_SKIP() << "sanitizer allocators make the count meaningless";
+#endif
+  // Alternating own-segment updates and 64-segment scans. Beyond the
+  // new state, a scan pays for its view: in the state and in the
+  // response handed back.
+  using zoo::SnapshotType;
+  const double per_op = allocations_per_solo_op<SnapshotType>(
+      SnapshotType::initial(64), [](int i) {
+        return i % 2 == 0 ? SnapshotType::update(0, i) : SnapshotType::scan();
+      });
+  EXPECT_LE(per_op, 10.0);
+  RecordProperty("allocations_per_op", std::to_string(per_op));
+}
+
+}  // namespace
+}  // namespace tbwf::rt

@@ -50,9 +50,10 @@ SimEnv& World::env(Pid p) {
 }
 
 void World::boot_subtask(detail::ProcessState& ps, const std::string& name,
-                         const std::function<Task(SimEnv&)>& factory) {
+                         detail::SpawnFactory factory) {
   detail::SubTask st;
-  st.task = factory(*envs_[ps.pid]);
+  st.task = (*factory)(*envs_[ps.pid]);
+  st.factory = std::move(factory);
   st.name = name;
   TBWF_ASSERT(st.task.valid(), "spawn factory returned an empty task");
   st.resume_handle = st.task.handle();
@@ -71,14 +72,15 @@ void World::spawn(Pid p, std::string name,
   TBWF_ASSERT(p >= 0 && p < n_, "pid out of range");
   auto& ps = procs_[p];
   TBWF_ASSERT(!ps.crashed, "cannot spawn on a crashed process");
-  boot_subtask(ps, name, factory);
+  auto stored = std::make_shared<const std::function<Task(SimEnv&)>>(
+      std::move(factory));
+  boot_subtask(ps, name, stored);
   // Root sub-tasks (spawned from outside any step, i.e. the process
   // bring-up code) are what restart() re-creates; sub-tasks spawned from
   // inside a running coroutine are that coroutine's children and will be
   // re-created by their respawned parent.
   if (current_subtask_ == nullptr) {
-    ps.boot.push_back(
-        detail::BootRecord{std::move(name), std::move(factory)});
+    ps.boot.push_back(detail::BootRecord{std::move(name), std::move(stored)});
   }
 }
 

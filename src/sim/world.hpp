@@ -131,7 +131,14 @@ struct RegCell final : RegCellBase {
   T prev_value;
 };
 
+/// A spawn factory, held at a stable heap address: a coroutine lambda's
+/// frame reads its captures through the lambda object, so the factory
+/// must outlive every sub-task it booted.
+using SpawnFactory = std::shared_ptr<const std::function<Task(SimEnv&)>>;
+
 struct SubTask {
+  /// Declared before `task` so the frame dies first.
+  SpawnFactory factory;
   Task task;
   std::string name;
   /// The deepest suspended coroutine in this sub-task's call stack; the
@@ -150,7 +157,7 @@ struct SubTask {
 /// again with fresh coroutine frames (the crash destroyed the old ones).
 struct BootRecord {
   std::string name;
-  std::function<Task(SimEnv&)> factory;
+  SpawnFactory factory;
 };
 
 struct ProcessState {
@@ -400,7 +407,7 @@ class World final : public WorldView {
   void complete_pending(detail::SubTask& st);
   void apply_due_faults();
   void boot_subtask(detail::ProcessState& ps, const std::string& name,
-                    const std::function<Task(SimEnv&)>& factory);
+                    detail::SpawnFactory factory);
 
   int n_;
   std::unique_ptr<Schedule> schedule_;

@@ -145,6 +145,38 @@ TEST(WorldStress, ManyCrashesManySpawns) {
   EXPECT_GT(world.peek(reg), 0);
 }
 
+TEST(WorldEdge, CapturingCoroutineLambdasOutliveTheirSpawnCalls) {
+  // A coroutine lambda reads its captures through the lambda object, so
+  // the world must keep each factory alive at a fixed address for as
+  // long as the sub-task it booted runs: root and child alike, and again
+  // after a restart re-boots the root from its stored recipe.
+  World world(1, std::make_unique<RoundRobinSchedule>());
+  int root_steps = 0;
+  int child_steps = 0;
+  world.spawn(0, "root", [&](SimEnv& env) -> Task {
+    env.spawn("child", [&](SimEnv& child) -> Task {
+      for (;;) {
+        ++child_steps;
+        co_await child.yield();
+      }
+    });
+    for (;;) {
+      ++root_steps;
+      co_await env.yield();
+    }
+  });
+  world.run(20);
+  EXPECT_GT(root_steps, 0);
+  EXPECT_GT(child_steps, 0);
+  const int root_before = root_steps;
+  const int child_before = child_steps;
+  world.crash(0);
+  world.restart(0);
+  world.run(20);
+  EXPECT_GT(root_steps, root_before);
+  EXPECT_GT(child_steps, child_before);
+}
+
 // -- assertion behaviour -----------------------------------------------------------
 
 TEST(WorldEdge, SpawnOnCrashedProcessDies) {

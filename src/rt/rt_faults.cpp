@@ -296,31 +296,37 @@ RtFaultPlan RtFaultPlan::generate(std::uint64_t seed,
   return plan;
 }
 
-std::uint64_t RtFaultPlan::last_event_ns() const {
-  std::uint64_t last = 0;
+std::vector<std::uint64_t> RtFaultPlan::event_edges() const {
+  std::vector<std::uint64_t> edges;
   for (const auto& k : kills_) {
-    last = std::max(last, k.at_ns + k.restart_after_ns);
+    edges.push_back(k.at_ns);
+    if (k.restart_after_ns > 0) edges.push_back(k.at_ns + k.restart_after_ns);
   }
   for (const auto& s : stalls_) {
-    last = std::max(last, s.at_ns + s.duration_ns);
+    edges.push_back(s.at_ns);
+    edges.push_back(s.at_ns + s.duration_ns);
   }
-  for (const auto& s : storms_) last = std::max(last, s.to_ns);
+  for (const auto& s : storms_) {
+    edges.push_back(s.from_ns);
+    edges.push_back(s.to_ns);
+  }
+  // A permanent fault never closes: its start is the boundary, the
+  // degradation itself is part of the stable suffix.
   for (const auto& f : reg_faults_) {
-    // A permanent fault never closes: its start is the boundary, the
-    // degradation itself is part of the stable suffix.
-    last = std::max(last, f.to_ns == RtAbortInjector::kForeverNs
-                              ? f.from_ns
-                              : f.to_ns);
+    edges.push_back(f.from_ns);
+    if (f.to_ns != RtAbortInjector::kForeverNs) edges.push_back(f.to_ns);
   }
-  for (const auto& ev : membership_) last = std::max(last, ev.at);
   for (const auto& c : clock_faults_) {
-    // A permanent clock fault never closes: its start is the boundary,
-    // the distortion itself is part of the stable suffix.
-    last = std::max(last, c.to_ns == RtClockFaultEvent::kForeverNs
-                              ? c.from_ns
-                              : c.to_ns);
+    edges.push_back(c.from_ns);
+    if (c.to_ns != RtClockFaultEvent::kForeverNs) edges.push_back(c.to_ns);
   }
-  return last;
+  for (const auto& ev : membership_) edges.push_back(ev.at);
+  return edges;
+}
+
+std::uint64_t RtFaultPlan::last_event_ns() const {
+  const std::vector<std::uint64_t> edges = event_edges();
+  return edges.empty() ? 0 : *std::max_element(edges.begin(), edges.end());
 }
 
 bool RtFaultPlan::clock_faulted_in(std::uint32_t tid, std::uint64_t from_ns,

@@ -192,10 +192,13 @@ class RtFaultPlan {
            clock_faults_.empty();
   }
 
-  /// Offset of the last event boundary (kill, restart, stall end, storm
-  /// end, membership event, finite reg-fault or clock-fault end; a
-  /// permanent reg/clock fault contributes its start); 0 for an empty
-  /// plan. Everything after is the stable tail.
+  /// Every event boundary, unsorted: kill and restart, stall, storm,
+  /// reg-fault and clock-fault window edges (a permanent window
+  /// contributes only its start) and membership events.
+  std::vector<std::uint64_t> event_edges() const;
+
+  /// The last event boundary; 0 for an empty plan. Everything after is
+  /// the stable tail.
   std::uint64_t last_event_ns() const;
 
   /// True iff a clock fault on `tid` can distort timestamps inside

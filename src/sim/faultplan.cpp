@@ -254,20 +254,31 @@ int FaultPlan::arm(registers::RegisterFaultInjector& injector,
   return armed;
 }
 
-Step FaultPlan::last_event_step() const {
-  Step last = 0;
-  for (const auto& ev : crashes_) last = std::max(last, ev.at);
-  for (const auto& ev : restarts_) last = std::max(last, ev.at);
-  for (const auto& st : stutters_) last = std::max(last, st.to);
-  for (const auto& storm : storms_) last = std::max(last, storm.to);
-  for (const auto& f : link_faults_) {
-    // A permanent fault never closes: its start is the boundary, the
-    // degradation itself is part of the stable suffix.
-    last = std::max(last,
-                    f.to == registers::kFaultForever ? f.from : f.to);
+std::vector<Step> FaultPlan::event_edges() const {
+  std::vector<Step> edges;
+  for (const auto& ev : crashes_) edges.push_back(ev.at);
+  for (const auto& ev : restarts_) edges.push_back(ev.at);
+  for (const auto& st : stutters_) {
+    edges.push_back(st.from);
+    edges.push_back(st.to);
   }
-  for (const auto& ev : membership_) last = std::max(last, ev.at);
-  return last;
+  for (const auto& storm : storms_) {
+    edges.push_back(storm.from);
+    edges.push_back(storm.to);
+  }
+  // A permanent fault never closes: its start is the boundary, the
+  // degradation itself is part of the stable suffix.
+  for (const auto& f : link_faults_) {
+    edges.push_back(f.from);
+    if (f.to != registers::kFaultForever) edges.push_back(f.to);
+  }
+  for (const auto& ev : membership_) edges.push_back(ev.at);
+  return edges;
+}
+
+Step FaultPlan::last_event_step() const {
+  const std::vector<Step> edges = event_edges();
+  return edges.empty() ? 0 : *std::max_element(edges.begin(), edges.end());
 }
 
 std::vector<core::EpochWindow> FaultPlan::epoch_timeline(
@@ -410,24 +421,9 @@ std::vector<Pid> FaultPlan::channel_degraded(int n, Step from,
 
 std::vector<Step> FaultPlan::phase_boundaries(Step run_end) const {
   std::vector<Step> edges{0, run_end};
-  auto add = [&](Step s) {
+  for (const Step s : event_edges()) {
     if (s > 0 && s < run_end) edges.push_back(s);
-  };
-  for (const auto& ev : crashes_) add(ev.at);
-  for (const auto& ev : restarts_) add(ev.at);
-  for (const auto& st : stutters_) {
-    add(st.from);
-    add(st.to);
   }
-  for (const auto& storm : storms_) {
-    add(storm.from);
-    add(storm.to);
-  }
-  for (const auto& f : link_faults_) {
-    add(f.from);
-    if (f.to != registers::kFaultForever) add(f.to);
-  }
-  for (const auto& ev : membership_) add(ev.at);
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   return edges;

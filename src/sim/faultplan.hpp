@@ -190,10 +190,13 @@ class FaultPlan {
            storms_.empty() && link_faults_.empty() && membership_.empty();
   }
 
-  /// Step of the last event boundary (crash, restart, stutter end, storm
-  /// end, membership event, finite link-fault end; a permanent link
-  /// fault contributes its start); 0 for an empty plan. Everything
-  /// after is the stable tail.
+  /// Every event boundary, unsorted: crashes, restarts, stutter, storm
+  /// and link-fault window edges (a permanent link fault contributes
+  /// only its start) and membership events.
+  std::vector<Step> event_edges() const;
+
+  /// The last event boundary; 0 for an empty plan. Everything after is
+  /// the stable tail.
   Step last_event_step() const;
 
   /// Epoch timeline for a run of n processes ending at run_end: one

@@ -1,10 +1,10 @@
-// Post-run TBWF conformance checker for chaos runs.
+// Post-run TBWF conformance checkers for chaos runs.
 //
-// Given the trace of a run driven by a FaultPlan, the checker re-derives
+// Given the trace of a run driven by a fault plan, a checker re-derives
 // each process's *realized* timeliness from the trace alone -- the plan
-// only tells it where the phase boundaries are -- and asserts the
-// paper's graded guarantees (Theorem 14 / Section 2) over the stable
-// suffix after the last fault:
+// only tells it where the fault edges are -- and asserts the paper's
+// graded guarantees (Theorem 14 / Section 2) over the stable suffix
+// after the last fault:
 //
 //   - every suffix-timely process that keeps issuing operations is
 //     wait-free there: its completion gaps stay bounded;
@@ -14,8 +14,10 @@
 //     crashed or silent) and it issues operations, it completes at
 //     least one: obstruction-freedom.
 //
-// Every violation message carries the plan seed, so a red sweep case
-// replays deterministically from the message alone.
+// One grading kernel states these once; the sim front-end (global
+// steps) and the rt front-end (wall-clock ns) feed it their own realized
+// bounds and exclusions. Every violation message carries the plan seed,
+// so a red sweep case replays deterministically from the message alone.
 #pragma once
 
 #include <cstdint>
@@ -190,24 +192,14 @@ BatchConformanceReport check_batch_conformance(
 
 // -- rt front-end --------------------------------------------------------------
 //
-// The same graded-guarantee judgement over a REAL-THREAD run: the
-// RtTrace's wall-clock nanoseconds play the role of the simulator's
-// global step counter (a thread is timely in a window iff its activity
-// events are never further apart than the bound -- Definition 1 with ns
-// as the time unit), and the RtFaultPlan supplies the last fault edge
-// after which the stable suffix begins. Because the OS can deschedule
-// any thread at any time, the checker never asserts who SHOULD be
-// timely -- it derives who WAS, then holds the run to exactly the
-// guarantee that grade earns:
-//
-//   kWaitFree        every issuing thread was timely -> each must
-//                    complete with bounded gaps;
-//   kLockFree        >= 1 issuing thread timely -> the merged
-//                    completion stream must have bounded gaps (each
-//                    timely issuing thread is still held to its
-//                    wait-freedom bound);
-//   kObstructionFree exactly one thread stepped -> it must complete;
-//   kNone            nothing derivable (no issuing activity).
+// The same judgement over a REAL-THREAD run: the RtTrace's wall-clock
+// nanoseconds play the role of the simulator's global step counter and
+// the RtFaultPlan supplies the fault edges. Because the OS can
+// deschedule any thread at any time, the checker never asserts who
+// SHOULD be timely -- it derives who WAS, then holds the run to exactly
+// the guarantee that grade earns: kWaitFree (every issuing thread was
+// timely), kLockFree (>= 1 was), kObstructionFree (exactly one thread
+// stepped), kNone (nothing derivable).
 
 enum class RtGuaranteeGrade : std::uint8_t {
   kWaitFree,

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Lint the rt backend for implicit-seq_cst atomic operations.
+# Lint the code that runs on real threads for implicit-seq_cst atomic
+# operations: src/rt/, plus the QA universal construction and the Co
+# coroutine type, which the rt backend runs as they are.
 #
 # The rt memory-order discipline (docs/MODEL.md, "The rt memory model")
-# requires every atomic operation in src/rt/ to name its memory order
+# requires every atomic operation in that code to name its memory order
 # explicitly. Default-argument forms (x.load(), x.store(v),
 # x.fetch_add(1), ...) silently mean seq_cst, which both hides the
 # intended contract and costs a full fence on weakly ordered machines.
@@ -14,7 +16,7 @@
 set -u
 
 fail=0
-files=$(find src/rt -name '*.hpp' -o -name '*.cpp')
+files="$(find src/rt -name '*.hpp' -o -name '*.cpp') src/qa/qa_universal.hpp src/sim/co.hpp"
 
 ops='\.(load|store|exchange|fetch_add|fetch_sub|fetch_and|fetch_or|fetch_xor|compare_exchange_weak|compare_exchange_strong|test_and_set|clear|wait|notify_one|notify_all)\('
 # A call may wrap; accept a memory_order named on the call line or on
@@ -55,6 +57,6 @@ for f in $files; do
 done
 
 if [ "$fail" -eq 0 ]; then
-  echo "OK: no implicit-seq_cst atomics in src/rt"
+  echo "OK: no implicit-seq_cst atomics in the code that runs on threads"
 fi
 exit "$fail"

@@ -197,7 +197,7 @@ class BatchedQaUniversal {
     bool combined = false;
     for (;;) {
       auto fr = co_await inner_.read_frontier(env);
-      if (fr.has_value() && fr->state.done_uid[p] == uid) {
+      if (fr && fr->state.done_uid[p] == uid) {
         TBWF_ASSERT(!fr->state.done_void[p],
                     "apply() op voided without a query tombstone");
         if (!combined) ++fast_completions_[p];
@@ -225,7 +225,7 @@ class BatchedQaUniversal {
     ++announce_writes_[p];
     for (int poll = 0; poll < patience_[p]; ++poll) {
       auto fr = co_await inner_.read_frontier(env);
-      if (fr.has_value()) {
+      if (fr) {
         if (auto r = resolve(*fr, p, uid)) {
           ++fast_completions_[p];
           co_return *r;
@@ -235,7 +235,7 @@ class BatchedQaUniversal {
     for (int attempt = 0; attempt < options_.combine_attempts; ++attempt) {
       (void)co_await combine_once(env, /*tombstone_uid=*/0);
       auto fr = co_await inner_.read_frontier(env);
-      if (fr.has_value()) {
+      if (fr) {
         if (auto r = resolve(*fr, p, uid)) co_return *r;
       }
     }
@@ -248,14 +248,14 @@ class BatchedQaUniversal {
     const std::uint64_t uid = last_uid_[p];
     if (uid == 0) co_return Response::make_not_applied();
     auto fr = co_await inner_.read_frontier(env);
-    if (fr.has_value()) {
+    if (fr) {
       if (auto r = resolve(*fr, p, uid)) co_return *r;
     }
     // Seal the fate (see file comment): a decided batch carrying our
     // tombstone makes the verdict final either way.
     const bool sealed = co_await combine_once(env, uid);
     fr = co_await inner_.read_frontier(env);
-    if (sealed && fr.has_value()) {
+    if (sealed && fr) {
       if (auto r = resolve(*fr, p, uid)) co_return *r;
     }
     co_return Response::make_bottom();
@@ -327,7 +327,7 @@ class BatchedQaUniversal {
   sim::Co<bool> combine_once(sim::SimEnv& env, std::uint64_t tombstone_uid) {
     const sim::Pid p = env.pid();
     auto fr = co_await inner_.read_frontier(env);
-    if (!fr.has_value()) co_return false;
+    if (!fr) co_return false;
     const auto& done = fr->state.done_uid;
 
     typename BS::Op batch;

@@ -49,12 +49,23 @@
 // policy: with abortable registers a base-level abort simply aborts the
 // attempt, and since solo operations on abortable registers never abort,
 // solo attempts still succeed -- which is how Theorem 15 gets T_QA from
-// abortable registers.
+// abortable registers. The policy is the construction's whole register
+// environment, so a third one, rt::RtBase (rt/rt_qa.hpp), runs these
+// very coroutines on std::threads: its awaiters have already done their
+// operation, and Co::run_inline() completes an operation on the calling
+// thread with no scheduler.
+//
+// Records carry their two states by pointer. A state is built exactly
+// once -- genesis, or a proposer's fresh value: a copy of the frontier
+// with the op applied -- and never mutated after its pointer is first
+// written to a register. Register reads and writes, read passes,
+// frontier selection and adoption therefore copy pointers, not states.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -66,20 +77,61 @@
 #include "sim/env.hpp"
 #include "sim/world.hpp"
 #include "util/assert.hpp"
+#include "util/cacheline.hpp"
 #include "util/small_vec.hpp"
 
 namespace tbwf::qa {
 
 // ---------------------------------------------------------------------------
 // Base-register policies.
+//
+// A policy supplies the register handle type Reg<Rec>, the process
+// environment Env (pid(), now()), the owner of the registers Home
+// (n(home), make, a non-step peek), and the awaitable register
+// operations: read, write and one read pass over all records.
 // ---------------------------------------------------------------------------
+
+/// What both simulator policies share: the World as home, SimEnv as
+/// environment, and the read pass as one coroutine over Policy::read.
+template <class Policy>
+struct SimBase {
+  using Env = sim::SimEnv;
+  using Home = sim::World;
+
+  static int n(const Home& world) { return world.n(); }
+
+  /// Non-step introspection of a register's content.
+  template <class Rec, class Reg>
+  static const Rec& peek(const Home& world, const Reg& r) {
+    return world.template peek<Rec>(r.idx);
+  }
+
+  /// One read pass over all records into `view`; the caller's own slot
+  /// is `mine`, what it last tried to write there. False iff a base read
+  /// aborted, leaving `view` partly filled.
+  template <class Rec, class Regs>
+  static sim::Co<bool> read_pass(Env& env, const Regs& regs, sim::Pid self,
+                                 const Rec& mine, std::vector<Rec>& view) {
+    for (sim::Pid q = 0; q < static_cast<sim::Pid>(regs.size()); ++q) {
+      if (q == self) {
+        view[q] = mine;
+        continue;
+      }
+      std::optional<Rec> r =
+          co_await Policy::template read<Rec>(env, regs[q]);
+      if (!r.has_value()) co_return false;
+      view[q] = std::move(*r);
+    }
+    co_return true;
+  }
+};
 
 /// Atomic base registers: reads/writes never abort. read/write return
 /// adapters over the simulator's awaiters (not coroutines, so a register
 /// op allocates no frame), giving the same result shapes as the
 /// abortable base: a read yields an engaged optional, a write yields
 /// true.
-struct AtomicBase {
+struct AtomicBase : SimBase<AtomicBase> {
   template <class Rec>
   using Reg = sim::AtomicReg<Rec>;
 
@@ -99,16 +151,16 @@ struct AtomicBase {
   };
 
   template <class Rec>
-  static Reg<Rec> make(sim::World& world, const std::string& name, Rec init,
+  static Reg<Rec> make(Home& world, const std::string& name, Rec init,
                        registers::AbortPolicy*, sim::Pid /*writer*/) {
     return world.make_atomic<Rec>(name, std::move(init));
   }
   template <class Rec>
-  static ReadAwaiter<Rec> read(sim::SimEnv& env, Reg<Rec> r) {
+  static ReadAwaiter<Rec> read(Env& env, const Reg<Rec>& r) {
     return {env.read(r)};
   }
   template <class Rec>
-  static WriteAwaiter<Rec> write(sim::SimEnv& env, Reg<Rec> r, Rec v) {
+  static WriteAwaiter<Rec> write(Env& env, const Reg<Rec>& r, Rec v) {
     return {env.write(r, std::move(v))};
   }
 };
@@ -117,24 +169,24 @@ struct AtomicBase {
 /// may abort under contention; an aborted base write may or may not
 /// have taken effect, which the protocol treats as "accept adoptable".
 /// read/write hand back the simulator's awaiters directly.
-struct AbortableBase {
+struct AbortableBase : SimBase<AbortableBase> {
   template <class Rec>
   using Reg = sim::AbortableReg<Rec>;
 
   template <class Rec>
-  static Reg<Rec> make(sim::World& world, const std::string& name, Rec init,
+  static Reg<Rec> make(Home& world, const std::string& name, Rec init,
                        registers::AbortPolicy* policy, sim::Pid writer) {
     return world.make_abortable<Rec>(name, std::move(init), policy, writer,
                                      sim::kNoPid);
   }
   template <class Rec>
-  static sim::detail::AbortableReadOp<Rec> read(sim::SimEnv& env,
-                                                Reg<Rec> r) {
+  static sim::detail::AbortableReadOp<Rec> read(Env& env,
+                                                const Reg<Rec>& r) {
     return env.read(r);
   }
   template <class Rec>
-  static sim::detail::AbortableWriteOp<Rec> write(sim::SimEnv& env,
-                                                  Reg<Rec> r, Rec v) {
+  static sim::detail::AbortableWriteOp<Rec> write(Env& env,
+                                                  const Reg<Rec>& r, Rec v) {
     return env.write(r, std::move(v));
   }
 };
@@ -158,6 +210,8 @@ struct QaMutations {
 template <Sequential S, class Base = AtomicBase>
 class QaUniversal {
  public:
+  using Env = typename Base::Env;
+  using Home = typename Base::Home;
   using State = typename S::State;
   using Op = typename S::Op;
   using Result = typename S::Result;
@@ -187,99 +241,73 @@ class QaUniversal {
     util::SmallVec<std::uint64_t, kInlinePids> last_uid;
     util::SmallVec<Result, kInlinePids> last_result;
   };
+  /// Immutable once published; shared by every record and cache that
+  /// holds it.
+  using StatePtr = std::shared_ptr<const StateRec>;
 
   /// REG[p]: everything process p publishes.
   struct Record {
     Token promised;
     Token accepted;
-    StateRec accepted_state;
-    StateRec decided;
+    StatePtr accepted_state;
+    StatePtr decided;
   };
 
-  QaUniversal(sim::World& world, State initial,
+  QaUniversal(Home& home, State initial,
               registers::AbortPolicy* policy = nullptr)
-      : world_(world), n_(world.n()) {
-    StateRec genesis;
-    genesis.seq = 0;
-    genesis.state = std::move(initial);
-    genesis.last_uid.assign(n_, 0);
-    genesis.last_result.assign(n_, Result{});
-    Record init;
-    init.decided = genesis;
-    init.accepted_state = genesis;
+      : home_(home), n_(Base::n(home)), local_(n_) {
+    auto genesis = std::make_shared<StateRec>();
+    genesis->state = std::move(initial);
+    genesis->last_uid.assign(n_, 0);
+    genesis->last_result.assign(n_, Result{});
+    const Record init{Token{}, Token{}, genesis, genesis};
     regs_.reserve(n_);
     for (sim::Pid p = 0; p < n_; ++p) {
       regs_.push_back(Base::template make<Record>(
-          world, "QaReg[" + std::to_string(p) + "]", init, policy, p));
+          home, "QaReg[" + std::to_string(p) + "]", init, policy, p));
+      local_[p].mine = init;
+      local_[p].view.resize(n_);
+      local_[p].decided = genesis;
     }
-    mine_.assign(n_, init);
-    view_.assign(n_, std::vector<Record>(n_));
-    local_decided_.assign(n_, genesis);
-    round_.assign(n_, 0);
-    uid_counter_.assign(n_, 0);
-    last_real_uid_.assign(n_, 0);
-    pending_slot_.assign(n_, 0);
-    pending_uid_.assign(n_, 0);
-    ops_started_.assign(n_, 0);
-    publishes_.assign(n_, 0);
   }
 
   /// Apply `op` to the object; may return bottom under contention.
-  sim::Co<Response> invoke(sim::SimEnv& env, Op op) {
+  sim::Co<Response> invoke(Env& env, Op op) {
     const sim::Pid p = env.pid();
-    const std::uint64_t uid = ++uid_counter_[p] * n_ + p;
-    last_real_uid_[p] = uid;
-    pending_uid_[p] = 0;
-    pending_slot_[p] = 0;
-    ++ops_started_[p];
-
-    Proposal proposal;
-    proposal.has_op = true;
-    proposal.op = std::move(op);
-    proposal.uid = uid;
-
+    Local& me = local_[p];
+    const std::uint64_t uid = ++me.uid_counter * n_ + p;
+    me.last_real_uid = uid;
+    me.pending_uid = 0;
+    me.pending_slot = 0;
+    ++me.ops_started;
     // Up to two attempts: the first may spend itself finishing another
     // process's floating value (adoption); the second then runs on a
     // fresh slot. Solo, this bounds the operation at two attempts.
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      const AttemptOutcome out = co_await attempt_once(env, p, proposal);
-      switch (out.kind) {
-        case AttemptKind::DecidedSelf:
-          co_return Response::make_ok(out.result);
-        case AttemptKind::DecidedOther:
-          continue;
-        case AttemptKind::AbortNoEffect:
-          co_return Response::make_bottom();
-        case AttemptKind::AbortMaybeEffect:
-          co_return Response::make_bottom();
-      }
-    }
-    co_return Response::make_bottom();
+    return attempt(env, p, Proposal{true, std::move(op), uid}, 2);
   }
 
   /// Determine the fate of this process's last invoke.
-  sim::Co<Response> query(sim::SimEnv& env) {
+  sim::Co<Response> query(Env& env) {
     const sim::Pid p = env.pid();
-    const std::uint64_t uid = last_real_uid_[p];
+    const Local& me = local_[p];
+    const std::uint64_t uid = me.last_real_uid;
     if (uid == 0) co_return Response::make_not_applied();
 
     // One no-op attempt: if our value is still floating at its slot,
     // this either decides it (possibly by adoption through a peer) or
     // seals the slot with a different value, making F final.
-    Proposal noop;
-    noop.has_op = false;
-    (void)co_await attempt_once(env, p, noop);
+    (void)co_await attempt(env, p, Proposal{}, 1);
 
-    if (!co_await read_all(env, p)) co_return Response::make_bottom();
-    const StateRec& d = frontier(view_[p], p);
+    if (!co_await read_pass(env, p)) co_return Response::make_bottom();
+    const StateRec& d = *frontier(p);
     if (d.last_uid[p] == uid) {
       co_return Response::make_ok(d.last_result[p]);
     }
-    if (pending_uid_[p] != uid) {
+    if (me.pending_uid != uid) {
       // The op never reached an accept: it cannot ever take effect.
       co_return Response::make_not_applied();
     }
-    if (d.seq >= pending_slot_[p]) {
+    if (d.seq >= me.pending_slot) {
       // The slot our accept targeted is sealed with someone else's
       // value; stale accepts at sealed slots are never adopted.
       co_return Response::make_not_applied();
@@ -288,15 +316,13 @@ class QaUniversal {
   }
 
   /// One wait-free read pass over all records: the decided frontier as
-  /// currently visible to the caller (nullopt if a base read aborted).
+  /// currently visible to the caller (null if a base read aborted).
   /// Read-only w.r.t. shared memory; refreshes the caller's local
-  /// decided cache. The batched engine polls this between announces.
-  sim::Co<std::optional<StateRec>> read_frontier(sim::SimEnv& env) {
+  /// decided cache. The batched engines poll this between announces.
+  sim::Co<StatePtr> read_frontier(Env& env) {
     const sim::Pid p = env.pid();
-    if (!co_await read_all(env, p)) co_return std::nullopt;
-    StateRec d = frontier(view_[p], p);
-    if (d.seq > local_decided_[p].seq) local_decided_[p] = d;
-    co_return d;
+    if (!co_await read_pass(env, p)) co_return nullptr;
+    co_return refresh_decided(p);
   }
 
   /// Hook fired at the moment a slot is decided, before the best-effort
@@ -311,42 +337,57 @@ class QaUniversal {
   /// Shared-register writes this process has issued through the
   /// construction (promise/accept/decide publishes), for the E19
   /// write-contention accounting.
-  std::uint64_t publishes(sim::Pid p) const { return publishes_[p]; }
+  std::uint64_t publishes(sim::Pid p) const { return local_[p].publishes; }
 
   /// Non-step introspection for tests/benches: the highest decided
   /// record currently visible in shared memory.
   StateRec peek_frontier() const {
-    StateRec best;
+    StatePtr best;
     for (sim::Pid q = 0; q < n_; ++q) {
-      const auto& rec = world_.template peek<Record>(regs_[q].idx);
-      if (rec.decided.seq >= best.seq) best = rec.decided;
+      const auto& rec = Base::template peek<Record>(home_, regs_[q]);
+      if (!best || rec.decided->seq >= best->seq) best = rec.decided;
     }
-    for (sim::Pid q = 0; q < n_; ++q) {
-      if (local_decided_[q].seq > best.seq) best = local_decided_[q];
+    for (const Local& other : local_) {
+      if (other.decided->seq > best->seq) best = other.decided;
     }
-    return best;
+    return *best;
   }
 
-  std::uint64_t ops_started(sim::Pid p) const { return ops_started_[p]; }
+  std::uint64_t ops_started(sim::Pid p) const {
+    return local_[p].ops_started;
+  }
   int n() const { return n_; }
 
   /// Non-step test introspection: the raw record register of process p.
-  const Record& peek_record(sim::Pid p) const {
-    return world_.template peek<Record>(regs_[p].idx);
+  decltype(auto) peek_record(sim::Pid p) const {
+    return Base::template peek<Record>(home_, regs_[p]);
+  }
+
+  /// The highest decided state process p has observed. Only p's own
+  /// thread may read it while p is operating (on threads, a slice of
+  /// per-process state is unsynchronized).
+  const StatePtr& local_decided(sim::Pid p) const {
+    return local_[p].decided;
   }
 
   // -- verify-layer introspection (non-step) ---------------------------------
   // The schedule explorer fingerprints the object's private per-process
   // state alongside the shared records; these accessors expose exactly
   // what a state digest needs and nothing mutable.
-  const Record& local_mine(sim::Pid p) const { return mine_[p]; }
+  const Record& local_mine(sim::Pid p) const { return local_[p].mine; }
   const StateRec& local_decided_rec(sim::Pid p) const {
-    return local_decided_[p];
+    return *local_[p].decided;
   }
-  std::uint64_t round(sim::Pid p) const { return round_[p]; }
-  std::uint64_t pending_uid(sim::Pid p) const { return pending_uid_[p]; }
-  std::uint64_t pending_slot(sim::Pid p) const { return pending_slot_[p]; }
-  std::uint64_t last_real_uid(sim::Pid p) const { return last_real_uid_[p]; }
+  std::uint64_t round(sim::Pid p) const { return local_[p].round; }
+  std::uint64_t pending_uid(sim::Pid p) const {
+    return local_[p].pending_uid;
+  }
+  std::uint64_t pending_slot(sim::Pid p) const {
+    return local_[p].pending_slot;
+  }
+  std::uint64_t last_real_uid(sim::Pid p) const {
+    return local_[p].last_real_uid;
+  }
 
   void set_mutations(QaMutations mutations) { mutations_ = mutations; }
   const QaMutations& mutations() const { return mutations_; }
@@ -358,44 +399,52 @@ class QaUniversal {
     std::uint64_t uid = 0;
   };
 
-  enum class AttemptKind {
-    DecidedSelf,       ///< our proposal decided; result valid
-    DecidedOther,      ///< we finished someone else's floating value
-    AbortNoEffect,     ///< aborted before our accept: no effect, ever
-    AbortMaybeEffect,  ///< aborted at/after our accept: effect unknown
-  };
-  struct AttemptOutcome {
-    AttemptKind kind = AttemptKind::AbortNoEffect;
-    Result result{};
+  /// Process p's private protocol state. A process runs one operation
+  /// on the object at a time, so one slice each suffices; slices are
+  /// cache-line-aligned so threads driving neighbouring pids do not
+  /// false-share.
+  struct alignas(util::kCacheLineSize) Local {
+    /// Mirror of what p last tried to publish in its own register; with
+    /// an atomic base this equals the register content.
+    Record mine;
+    /// p's last read pass over all records (see read_pass). It is
+    /// overwritten by the next pass, so callers copy out what must
+    /// outlive it.
+    std::vector<Record> view;
+    StatePtr decided;  ///< highest decided state p has observed
+    std::uint64_t round = 0;
+    std::uint64_t uid_counter = 0;
+    std::uint64_t last_real_uid = 0;
+    std::uint64_t pending_slot = 0;
+    std::uint64_t pending_uid = 0;
+    std::uint64_t ops_started = 0;
+    std::uint64_t publishes = 0;
   };
 
-  /// One read pass over all records into view_[self] (the caller's own
-  /// slot comes from mine_); false if a base read aborted, leaving the
-  /// view partly filled. The view is overwritten by the caller's next
-  /// pass, so callers copy out what must outlive it.
-  sim::Co<bool> read_all(sim::SimEnv& env, sim::Pid self) {
-    std::vector<Record>& recs = view_[self];
-    for (sim::Pid q = 0; q < n_; ++q) {
-      if (q == self) {
-        recs[q] = mine_[self];
-        continue;
-      }
-      std::optional<Record> r = co_await Base::template read<Record>(
-          env, regs_[q]);
-      if (!r.has_value()) co_return false;
-      recs[q] = std::move(*r);
-    }
-    co_return true;
+  /// One read pass over all records into local_[p].view; yields false
+  /// iff a base read aborted (the view is then partial and unused).
+  auto read_pass(Env& env, sim::Pid p) {
+    Local& me = local_[p];
+    return Base::template read_pass<Record>(env, regs_, p, me.mine, me.view);
   }
 
-  /// Highest decided record across `recs` and p's local cache.
-  const StateRec& frontier(const std::vector<Record>& recs,
-                           sim::Pid p) const {
-    const StateRec* best = &local_decided_[p];
-    for (const auto& rec : recs) {
-      if (rec.decided.seq > best->seq) best = &rec.decided;
+  /// Highest decided state across p's last read pass and p's cache.
+  const StatePtr& frontier(sim::Pid p) const {
+    const Local& me = local_[p];
+    const StatePtr* best = &me.decided;
+    for (const Record& rec : me.view) {
+      if (rec.decided->seq > (*best)->seq) best = &rec.decided;
     }
     return *best;
+  }
+
+  /// Raises p's decided cache to the frontier of its last read pass,
+  /// and returns it.
+  const StatePtr& refresh_decided(sim::Pid p) {
+    Local& me = local_[p];
+    const StatePtr& d = frontier(p);
+    if (d->seq > me.decided->seq) me.decided = d;
+    return me.decided;
   }
 
   /// Conflict: any evidence of a competitor that step 3/5 must yield to.
@@ -404,7 +453,7 @@ class QaUniversal {
     for (sim::Pid q = 0; q < n_; ++q) {
       if (q == self) continue;
       const Record& rec = recs[q];
-      if (rec.decided.seq >= me.seq) return true;
+      if (rec.decided->seq >= me.seq) return true;
       if (rec.promised.seq > me.seq) return true;
       if (rec.promised.seq == me.seq && rec.promised.gt(me)) return true;
       if (rec.accepted.seq > me.seq) return true;
@@ -413,122 +462,100 @@ class QaUniversal {
     return false;
   }
 
-  /// Write mine_[p], the record p wants visible, to p's register. The
-  /// returned awaiter yields false iff an abortable base write aborted.
-  auto publish(sim::SimEnv& env, sim::Pid p) {
-    ++publishes_[p];
-    return Base::template write<Record>(env, regs_[p], mine_[p]);
+  /// Write a copy of local_[p].mine, the record p wants visible, to p's
+  /// register. The returned awaiter yields false iff an abortable base
+  /// write aborted.
+  auto publish(Env& env, sim::Pid p) {
+    Local& me = local_[p];
+    ++me.publishes;
+    return Base::template write<Record>(env, regs_[p], me.mine);
   }
 
-  sim::Co<AttemptOutcome> attempt_once(sim::SimEnv& env, sim::Pid p,
-                                       const Proposal& proposal) {
-    AttemptOutcome out;
+  /// Up to `attempts` slot attempts for `proposal`, continuing only
+  /// after an attempt that decided another process's floating value.
+  /// Every abort answers bottom; whether it may still take effect is
+  /// recorded in pending_uid / pending_slot for query.
+  sim::Co<Response> attempt(Env& env, sim::Pid p, Proposal proposal,
+                            int attempts) {
+    Local& me = local_[p];
+    for (int i = 0; i < attempts; ++i) {
+      // Step 1: read the frontier; the attempt builds on it, and
+      // refresh_decided leaves it in me.decided.
+      if (!co_await read_pass(env, p)) co_return Response::make_bottom();
+      const Token token{refresh_decided(p)->seq + 1, ++me.round, p};
 
-    // Step 1: read the frontier.
-    if (!co_await read_all(env, p)) {
-      out.kind = AttemptKind::AbortNoEffect;
-      co_return out;
-    }
-    StateRec d = frontier(view_[p], p);
-    if (d.seq > local_decided_[p].seq) local_decided_[p] = d;
-    const Token me{d.seq + 1, ++round_[p], p};
+      // Step 2: publish the promise (and the frontier, as catch-up help).
+      me.mine.promised = token;
+      me.mine.decided = me.decided;
+      if (!co_await publish(env, p)) co_return Response::make_bottom();
 
-    // Step 2: publish the promise (and the frontier, as catch-up help).
-    mine_[p].promised = me;
-    mine_[p].decided = local_decided_[p];
-    if (!co_await publish(env, p)) {
-      out.kind = AttemptKind::AbortNoEffect;
-      co_return out;
-    }
+      // Step 3: read; abort on conflict; adopt the highest floating
+      // accept.
+      if (!co_await read_pass(env, p) || conflicts(me.view, p, token)) {
+        co_return Response::make_bottom();
+      }
+      const Record* adopt = nullptr;
+      for (sim::Pid q = 0; q < n_; ++q) {
+        if (q == p) continue;
+        const Record& rec = me.view[q];
+        if (rec.accepted.seq == token.seq &&
+            (adopt == nullptr || rec.accepted.gt(adopt->accepted))) {
+          adopt = &rec;
+        }
+      }
 
-    // Step 3: read; abort on conflict; adopt the highest floating accept.
-    const bool read2 = co_await read_all(env, p);
-    if (!read2 || conflicts(view_[p], p, me)) {
-      out.kind = AttemptKind::AbortNoEffect;
-      co_return out;
-    }
-    const Record* adopt = nullptr;
-    for (sim::Pid q = 0; q < n_; ++q) {
-      if (q == p) continue;
-      const Record& rec = view_[p][q];
-      if (rec.accepted.seq == me.seq &&
-          (adopt == nullptr || rec.accepted.gt(adopt->accepted))) {
-        adopt = &rec;
+      StatePtr value;
+      const bool adopted = adopt != nullptr;
+      if (adopted) {
+        value = adopt->accepted_state;
+      } else {
+        // The one place a state is built: the frontier plus our op,
+        // complete before its pointer reaches a register.
+        auto fresh = std::make_shared<StateRec>(*me.decided);
+        fresh->seq = token.seq;
+        if (proposal.has_op) {
+          fresh->last_result[p] = S::apply(fresh->state, proposal.op);
+          fresh->last_uid[p] = proposal.uid;
+        }
+        value = std::move(fresh);
+      }
+
+      // Step 4: publish the accept. From here on our value is adoptable,
+      // so every failure is "maybe effect".
+      me.mine.accepted = token;
+      me.mine.accepted_state = value;
+      if (proposal.has_op && !adopted) {
+        me.pending_uid = proposal.uid;
+        me.pending_slot = token.seq;
+      }
+      if (!co_await publish(env, p)) co_return Response::make_bottom();
+
+      // Step 5: validate. (The drop_decide_fence mutant skips this read
+      // -- exactly the bug the verify layer's explorer must catch.)
+      if (!mutations_.drop_decide_fence) {
+        if (!co_await read_pass(env, p) || conflicts(me.view, p, token)) {
+          co_return Response::make_bottom();
+        }
+      }
+
+      // Decided. Step 6: publish (best effort -- see file comment).
+      if (decide_hook_) decide_hook_(p, env.now(), *me.decided, *value);
+      me.decided = value;
+      me.mine.decided = value;
+      (void)co_await publish(env, p);
+
+      if (!adopted) {
+        co_return Response::make_ok(
+            proposal.has_op ? value->last_result[p] : Result{});
       }
     }
-
-    StateRec value;
-    bool adopted = false;
-    if (adopt != nullptr) {
-      value = adopt->accepted_state;
-      adopted = true;
-    } else {
-      value = d;  // copy of the frontier
-      value.seq = me.seq;
-      if (proposal.has_op) {
-        value.last_result[p] = S::apply(value.state, proposal.op);
-        value.last_uid[p] = proposal.uid;
-      }
-    }
-
-    // Step 4: publish the accept. From here on our value is adoptable,
-    // so every failure is "maybe effect".
-    mine_[p].accepted = me;
-    mine_[p].accepted_state = value;
-    if (proposal.has_op && !adopted) {
-      pending_uid_[p] = proposal.uid;
-      pending_slot_[p] = me.seq;
-    }
-    if (!co_await publish(env, p)) {
-      out.kind = AttemptKind::AbortMaybeEffect;
-      co_return out;
-    }
-
-    // Step 5: validate. (The drop_decide_fence mutant skips this read --
-    // exactly the bug the verify layer's explorer must catch.)
-    if (!mutations_.drop_decide_fence) {
-      const bool read3 = co_await read_all(env, p);
-      if (!read3 || conflicts(view_[p], p, me)) {
-        out.kind = AttemptKind::AbortMaybeEffect;
-        co_return out;
-      }
-    }
-
-    // Decided. Step 6: publish (best effort -- see file comment).
-    if (decide_hook_) decide_hook_(p, env.now(), d, value);
-    local_decided_[p] = value;
-    mine_[p].decided = value;
-    (void)co_await publish(env, p);
-
-    if (adopted) {
-      out.kind = AttemptKind::DecidedOther;
-    } else if (proposal.has_op) {
-      out.kind = AttemptKind::DecidedSelf;
-      out.result = value.last_result[p];
-    } else {
-      out.kind = AttemptKind::DecidedSelf;  // no-op decided
-    }
-    co_return out;
+    co_return Response::make_bottom();
   }
 
-  sim::World& world_;
+  Home& home_;
   int n_;
   std::vector<typename Base::template Reg<Record>> regs_;
-  /// Mirror of what p last tried to publish in its own register; with an
-  /// atomic base this equals the register content.
-  std::vector<Record> mine_;
-  /// view_[p]: p's last read pass over all records (see read_all). One
-  /// buffer per process suffices because, as with mine_, a process runs
-  /// one operation on the object at a time.
-  std::vector<std::vector<Record>> view_;
-  std::vector<StateRec> local_decided_;
-  std::vector<std::uint64_t> round_;
-  std::vector<std::uint64_t> uid_counter_;
-  std::vector<std::uint64_t> last_real_uid_;
-  std::vector<std::uint64_t> pending_slot_;
-  std::vector<std::uint64_t> pending_uid_;
-  std::vector<std::uint64_t> ops_started_;
-  std::vector<std::uint64_t> publishes_;
+  std::vector<Local> local_;
   QaMutations mutations_;
   DecideHook decide_hook_;
 };

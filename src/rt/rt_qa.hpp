@@ -1,328 +1,181 @@
-// Real-threads port of the query-abortable universal construction.
+// Real-threads backend of the query-abortable universal construction.
 //
-// The same protocol as src/qa/qa_universal.hpp (promise / accept /
-// decide per slot over single-writer records, abort on contention,
-// adoption of floating accepts), executed by std::threads over try-lock
-// abortable registers (RtAbortableReg). A base-register abort -- the
-// cell was busy -- simply aborts the attempt, exactly like the
-// simulator's AbortableBase. Solo operations never abort (an
-// uncontended try-lock always succeeds).
+// There is one protocol: qa::QaUniversal (qa/qa_universal.hpp), the
+// coroutine the schedule explorer and the Wing-Gong oracle check. This
+// header runs it on std::threads. RtBase is its base-register policy:
+// try-lock abortable registers (RtAbortableReg) whose awaiters have
+// already done their operation when the coroutine awaits them, so
+// Co::run_inline() completes every operation on the calling thread with
+// no scheduler. RtQaUniversal is the front that threads call by id.
 //
-// Threading model: thread t owns REG[t] (single writer) and its slice
-// of the per-thread protocol state; cross-thread communication goes
-// exclusively through the registers. Per-thread slices are padded to
-// cache lines to avoid false sharing.
+// A base-register abort -- the cell was busy -- simply aborts the
+// attempt, exactly like the simulator's AbortableBase. Solo operations
+// never abort (an uncontended try-lock always succeeds).
 //
-// Records carry their two states by pointer. A state is built exactly
-// once -- genesis, or a proposer's fresh value: a copy of the frontier
-// with the op applied -- and never mutated after its pointer is first
-// written to a register. Register reads and writes, read passes,
-// frontier selection and adoption therefore copy pointers, not states.
-// The publication edge is the cell's release/acquire pair (docs/MODEL.md,
-// "The rt memory model"); reference counts are shared_ptr's own atomics.
+// Threading model: thread t owns REG[t] (single writer) and its
+// cache-line-aligned slice of the construction's per-process state;
+// cross-thread communication goes exclusively through the registers.
+//
+// Records carry their two states by pointer, and a state is immutable
+// once its pointer is first written to a register. The publication edge
+// is the cell's release/acquire pair (docs/MODEL.md, "The rt memory
+// model"); reference counts are shared_ptr's own atomics.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "qa/qa_object.hpp"
+#include "qa/qa_universal.hpp"
 #include "qa/sequential_type.hpp"
+#include "registers/abort_policy.hpp"
 #include "rt/rt_registers.hpp"
+#include "sim/types.hpp"
 #include "util/assert.hpp"
-#include "util/cacheline.hpp"
 
 namespace tbwf::rt {
 
+/// The calling thread as the construction's process environment.
+struct RtEnv {
+  sim::Pid tid = 0;
+
+  sim::Pid pid() const { return tid; }
+  /// Threads share no step clock. Only the decide hook reads this, and
+  /// only the simulator's batched engine sets one.
+  sim::Step now() const { return 0; }
+};
+
+/// Base-register policy over RtAbortableReg. Every awaiter it hands out
+/// has already performed its operation: await_ready() is true and the
+/// coroutine never suspends.
+struct RtBase {
+  template <class Rec>
+  using Reg = std::unique_ptr<RtAbortableReg<Rec>>;
+  using Env = RtEnv;
+  struct Home {
+    int n = 0;
+  };
+
+  /// The result of an operation that completed before the await.
+  template <class T>
+  struct Done {
+    T value;
+    bool await_ready() const noexcept { return true; }
+    void await_suspend(std::coroutine_handle<>) const noexcept {}
+    T await_resume() { return std::move(value); }
+  };
+
+  static int n(const Home& home) { return home.n; }
+
+  template <class Rec>
+  static Reg<Rec> make(Home&, const std::string& /*name*/, Rec init,
+                       registers::AbortPolicy*, sim::Pid /*writer*/) {
+    return std::make_unique<RtAbortableReg<Rec>>(std::move(init));
+  }
+  template <class Rec>
+  static Done<std::optional<Rec>> read(Env&, const Reg<Rec>& r) {
+    return {r->read()};
+  }
+  /// Sink write: the record it displaces, possibly the last holder of a
+  /// state, dies after the cell is released.
+  template <class Rec>
+  static Done<bool> write(Env&, const Reg<Rec>& r, Rec v) {
+    return {r->write(std::move(v))};
+  }
+  /// Retries until the cell is free. For quiescent introspection only:
+  /// under contention it spins.
+  template <class Rec>
+  static Rec peek(const Home&, const Reg<Rec>& r) {
+    for (;;) {
+      if (auto v = r->read()) return std::move(*v);
+    }
+  }
+  /// SimBase::read_pass as a plain loop: no coroutine frame per pass.
+  template <class Rec>
+  static Done<bool> read_pass(Env&, const std::vector<Reg<Rec>>& regs,
+                              sim::Pid self, const Rec& mine,
+                              std::vector<Rec>& view) {
+    for (sim::Pid q = 0; q < static_cast<sim::Pid>(regs.size()); ++q) {
+      if (q == self) {
+        view[q] = mine;
+        continue;
+      }
+      auto r = regs[q]->read();
+      if (!r.has_value()) return {false};
+      view[q] = std::move(*r);
+    }
+    return {true};
+  }
+};
+
+/// qa::QaUniversal on threads: thread `tid` drives process `tid`, and
+/// each call runs one operation to completion inline.
 template <qa::Sequential S>
 class RtQaUniversal {
  public:
+  using Inner = qa::QaUniversal<S, RtBase>;
   using State = typename S::State;
   using Op = typename S::Op;
   using Result = typename S::Result;
-  using Response = qa::QaResponse<Result>;
+  using Response = typename Inner::Response;
+  using StateRec = typename Inner::StateRec;
+  using StatePtr = typename Inner::StatePtr;
   using Tid = std::uint32_t;
 
-  struct Token {
-    std::uint64_t seq = 0;
-    std::uint64_t round = 0;
-    Tid tid = 0;
-
-    bool gt(const Token& other) const {
-      return round > other.round || (round == other.round && tid > other.tid);
-    }
-  };
-
-  struct StateRec {
-    std::uint64_t seq = 0;
-    State state{};
-    std::vector<std::uint64_t> last_uid;
-    std::vector<Result> last_result;
-  };
-  /// Immutable once published; shared by every record and cache that
-  /// holds it.
-  using StatePtr = std::shared_ptr<const StateRec>;
-
-  struct Record {
-    Token promised;
-    Token accepted;
-    StatePtr accepted_state;
-    StatePtr decided;
-  };
-
-  RtQaUniversal(int nthreads, State initial) : n_(nthreads) {
+  RtQaUniversal(int nthreads, State initial)
+      : home_{nthreads}, inner_(home_, std::move(initial)) {
     TBWF_ASSERT(nthreads >= 1, "need at least one thread");
-    auto genesis = std::make_shared<StateRec>();
-    genesis->state = std::move(initial);
-    genesis->last_uid.assign(n_, 0);
-    genesis->last_result.assign(n_, Result{});
-    const Record init{Token{}, Token{}, genesis, genesis};
-    regs_.reserve(n_);
-    locals_ = std::vector<Local>(n_);
-    for (int t = 0; t < n_; ++t) {
-      regs_.emplace_back(std::make_unique<RtAbortableReg<Record>>(init));
-      locals_[t].mine = init;
-      locals_[t].local_decided = genesis;
-      locals_[t].view.resize(n_);
-    }
   }
+  /// inner_ refers to home_.
+  RtQaUniversal(const RtQaUniversal&) = delete;
+  RtQaUniversal& operator=(const RtQaUniversal&) = delete;
 
   /// Apply `op`; returns bottom under contention. Called by thread
   /// `tid` only (each tid must be driven by a single thread).
   Response invoke(Tid tid, Op op) {
-    Local& me = locals_[tid];
-    const std::uint64_t uid = ++me.uid_counter * n_ + tid;
-    me.last_real_uid = uid;
-    me.pending_uid = 0;
-    me.pending_slot = 0;
-
-    Proposal proposal{true, std::move(op), uid};
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      const AttemptOutcome out = attempt_once(tid, proposal);
-      switch (out.kind) {
-        case AttemptKind::DecidedSelf:
-          return Response::make_ok(out.result);
-        case AttemptKind::DecidedOther:
-          continue;
-        case AttemptKind::AbortNoEffect:
-        case AttemptKind::AbortMaybeEffect:
-          return Response::make_bottom();
-      }
-    }
-    return Response::make_bottom();
+    RtEnv env{pid_of(tid)};
+    return inner_.invoke(env, std::move(op)).run_inline();
   }
 
   /// Fate of tid's last invoke (Ok / F / bottom).
   Response query(Tid tid) {
-    Local& me = locals_[tid];
-    const std::uint64_t uid = me.last_real_uid;
-    if (uid == 0) return Response::make_not_applied();
-
-    Proposal noop{false, Op{}, 0};
-    (void)attempt_once(tid, noop);
-
-    if (!read_all(tid)) return Response::make_bottom();
-    const StateRec& d = *frontier(me.view, tid);
-    if (d.last_uid[tid] == uid) {
-      return Response::make_ok(d.last_result[tid]);
-    }
-    if (me.pending_uid != uid) return Response::make_not_applied();
-    if (d.seq >= me.pending_slot) return Response::make_not_applied();
-    return Response::make_bottom();
+    RtEnv env{pid_of(tid)};
+    return inner_.query(env).run_inline();
   }
 
   /// One try-lock read pass over all records: the decided frontier as
   /// currently visible to `tid` (null if a base read aborted).
   /// Refreshes tid's local decided cache. Called by tid's thread only.
   StatePtr read_frontier(Tid tid) {
-    if (!read_all(tid)) return nullptr;
-    return refresh_decided(tid);
+    RtEnv env{pid_of(tid)};
+    return inner_.read_frontier(env).run_inline();
   }
 
   /// The highest decided record tid itself has observed. Called by
   /// tid's thread only (per-thread slice, no synchronization).
   const StatePtr& local_decided(Tid tid) const {
-    return locals_[tid].local_decided;
+    return inner_.local_decided(pid_of(tid));
   }
 
-  /// Best-effort snapshot of the decided frontier (retries briefly).
-  /// Reads every thread's local cache, so call it only while no thread
-  /// is operating (before the workers start or after they are joined).
-  StateRec frontier_snapshot() {
-    StatePtr best = locals_[0].local_decided;
-    for (int t = 0; t < n_; ++t) {
-      if (locals_[t].local_decided->seq > best->seq) {
-        best = locals_[t].local_decided;
-      }
-      for (int tries = 0; tries < 64; ++tries) {
-        auto r = regs_[t]->read();
-        if (r.has_value()) {
-          if (r->decided->seq > best->seq) best = std::move(r->decided);
-          break;
-        }
-      }
-    }
-    return *best;
-  }
+  /// Snapshot of the decided frontier. Reads every thread's local cache,
+  /// so call it only while no thread is operating (before the workers
+  /// start or after they are joined).
+  StateRec frontier_snapshot() const { return inner_.peek_frontier(); }
 
-  int n() const { return n_; }
+  int n() const { return inner_.n(); }
 
  private:
-  struct Proposal {
-    bool has_op = false;
-    Op op{};
-    std::uint64_t uid = 0;
-  };
-  enum class AttemptKind {
-    DecidedSelf,
-    DecidedOther,
-    AbortNoEffect,
-    AbortMaybeEffect,
-  };
-  struct AttemptOutcome {
-    AttemptKind kind = AttemptKind::AbortNoEffect;
-    Result result{};
-  };
-
-  struct alignas(util::kCacheLineSize) Local {
-    Record mine;
-    StatePtr local_decided;
-    std::vector<Record> view;  ///< read_all's reused buffer
-    std::uint64_t round = 0;
-    std::uint64_t uid_counter = 0;
-    std::uint64_t last_real_uid = 0;
-    std::uint64_t pending_uid = 0;
-    std::uint64_t pending_slot = 0;
-  };
-
-  /// One read pass into self's view buffer; false iff a base read
-  /// aborted (the view is then partial and must not be used).
-  bool read_all(Tid self) {
-    Local& me = locals_[self];
-    for (int t = 0; t < n_; ++t) {
-      if (t == static_cast<int>(self)) {
-        me.view[t] = me.mine;
-        continue;
-      }
-      auto r = regs_[t]->read();
-      if (!r.has_value()) return false;
-      me.view[t] = std::move(*r);
-    }
-    return true;
+  sim::Pid pid_of(Tid tid) const {
+    TBWF_ASSERT(tid < static_cast<Tid>(inner_.n()), "tid out of range");
+    return static_cast<sim::Pid>(tid);
   }
 
-  const StatePtr& frontier(const std::vector<Record>& recs,
-                           Tid self) const {
-    const StatePtr* best = &locals_[self].local_decided;
-    for (const auto& rec : recs) {
-      if (rec.decided->seq > (*best)->seq) best = &rec.decided;
-    }
-    return *best;
-  }
-
-  /// Raises tid's local_decided to the frontier of the view its last
-  /// read pass filled, and returns it.
-  const StatePtr& refresh_decided(Tid tid) {
-    Local& me = locals_[tid];
-    const StatePtr& d = frontier(me.view, tid);
-    if (d->seq > me.local_decided->seq) me.local_decided = d;
-    return me.local_decided;
-  }
-
-  bool conflicts(const std::vector<Record>& recs, Tid self,
-                 const Token& me) const {
-    for (int t = 0; t < n_; ++t) {
-      if (t == static_cast<int>(self)) continue;
-      const Record& rec = recs[t];
-      if (rec.decided->seq >= me.seq) return true;
-      if (rec.promised.seq > me.seq) return true;
-      if (rec.promised.seq == me.seq && rec.promised.gt(me)) return true;
-      if (rec.accepted.seq > me.seq) return true;
-      if (rec.accepted.seq == me.seq && rec.accepted.gt(me)) return true;
-    }
-    return false;
-  }
-
-  /// Sink write of a copy of `mine` (pointer copies): the record it
-  /// displaces, possibly the last holder of a state, dies after the
-  /// cell is released.
-  bool publish(Tid tid) {
-    return regs_[tid]->write(Record(locals_[tid].mine));
-  }
-
-  AttemptOutcome attempt_once(Tid tid, const Proposal& proposal) {
-    Local& me = locals_[tid];
-    AttemptOutcome out;
-
-    if (!read_all(tid)) return out;  // AbortNoEffect
-    // The attempt builds on the frontier, which refresh_decided leaves
-    // in local_decided.
-    const Token token{refresh_decided(tid)->seq + 1, ++me.round, tid};
-
-    me.mine.promised = token;
-    me.mine.decided = me.local_decided;
-    if (!publish(tid)) return out;
-
-    if (!read_all(tid) || conflicts(me.view, tid, token)) return out;
-
-    const Record* adopt = nullptr;
-    for (int t = 0; t < n_; ++t) {
-      if (t == static_cast<int>(tid)) continue;
-      const Record& rec = me.view[t];
-      if (rec.accepted.seq == token.seq &&
-          (adopt == nullptr || rec.accepted.gt(adopt->accepted))) {
-        adopt = &rec;
-      }
-    }
-
-    StatePtr value;
-    const bool adopted = adopt != nullptr;
-    if (adopted) {
-      value = adopt->accepted_state;
-    } else {
-      // The one place a state is built: the frontier plus our op,
-      // complete before its pointer reaches a register.
-      auto fresh = std::make_shared<StateRec>(*me.local_decided);
-      fresh->seq = token.seq;
-      if (proposal.has_op) {
-        fresh->last_result[tid] = S::apply(fresh->state, proposal.op);
-        fresh->last_uid[tid] = proposal.uid;
-      }
-      value = std::move(fresh);
-    }
-
-    me.mine.accepted = token;
-    me.mine.accepted_state = value;
-    if (proposal.has_op && !adopted) {
-      me.pending_uid = proposal.uid;
-      me.pending_slot = token.seq;
-    }
-    if (!publish(tid)) {
-      out.kind = AttemptKind::AbortMaybeEffect;
-      return out;
-    }
-
-    if (!read_all(tid) || conflicts(me.view, tid, token)) {
-      out.kind = AttemptKind::AbortMaybeEffect;
-      return out;
-    }
-
-    me.local_decided = value;
-    me.mine.decided = value;
-    (void)publish(tid);
-
-    if (adopted) {
-      out.kind = AttemptKind::DecidedOther;
-    } else {
-      out.kind = AttemptKind::DecidedSelf;
-      if (proposal.has_op) out.result = value->last_result[tid];
-    }
-    return out;
-  }
-
-  int n_;
-  std::vector<std::unique_ptr<RtAbortableReg<Record>>> regs_;
-  std::vector<Local> locals_;
+  RtBase::Home home_;
+  Inner inner_;
 };
 
 }  // namespace tbwf::rt

@@ -3,8 +3,10 @@
 // The rt twin of src/qa/qa_batched.hpp: announce / combine / help in
 // front of RtQaUniversal<BatchSeq<S>>. See that header for the protocol
 // and its exactly-once / fate-sealing arguments -- they carry over
-// verbatim (the rt construction runs the identical slot protocol over
-// try-lock registers). What is rt-specific here:
+// verbatim. The slot protocol underneath is not a port: RtQaUniversal
+// runs qa::QaUniversal itself over try-lock registers. This engine's
+// own announce / combine / help layer is still a hand port. What is
+// rt-specific here:
 //
 //   * announce cells are RtAbortableReg<Announce>: a combiner's drain
 //     read holds the try-lock only for a copy, so the single-writer

@@ -2,8 +2,11 @@
 //
 // The simulator (src/sim) is the faithful reproduction vehicle -- it
 // controls steps, timeliness and abort adversaries exactly. This rt
-// backend exists for the wall-clock benchmark (E11): it runs the same
-// *ideas* on real threads to show the practical cost profile.
+// backend exists for the wall-clock benchmarks (E11): it shows the
+// practical cost profile on real threads. The QA universal construction
+// runs here as the very coroutine the explorer checks (rt_qa.hpp's
+// RtBase policy puts its records in these registers); the remaining rt
+// protocols are still hand ports of their sim twins.
 //
 // RtAbortableReg implements the abortable-register contract with a
 // try-lock cell: an operation that cannot acquire the cell immediately
@@ -181,7 +184,7 @@ class RtAbortInjector {
 };
 
 /// Cache-line-aligned so registers packed in arrays (one per process,
-/// as in RtQaUniversal) never share a line: the try-lock CAS of one
+/// as RtBase gives the QA construction) never share a line: the try-lock CAS of one
 /// cell must not steal the line under a neighbouring cell's reader.
 /// lock_ and the values it guards deliberately stay TOGETHER on the
 /// line -- an operation always touches both, so splitting them would

@@ -449,7 +449,7 @@ namespace tbwf::rt {
 /// The Figure 7 transformation on real threads, for any Sequential type:
 /// leadership comes from the wall-clock lease (the rt stand-in for
 /// Omega-Delta -- see the file comment above), the object is the
-/// real-threads port of the query-abortable universal construction.
+/// query-abortable universal construction run on threads (rt_qa.hpp).
 /// While a thread holds the lease it drives the op/query automaton of
 /// Figure 8; when the lease is lost mid-operation the floating value is
 /// either adopted by the next leader or permanently displaced, and the

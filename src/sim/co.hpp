@@ -12,6 +12,11 @@
 // matching the paper's model where a "step" is a shared-memory access or
 // an explicit local transition -- not a function call.
 //
+// Outside the simulator, run_inline() drives a Co to completion on the
+// calling thread: with awaiters that are always ready the whole stack
+// runs as plain calls, which is how the real-threads backend executes
+// the same protocol coroutines the explorer checks.
+//
 // Ownership: the Co object (living in the caller's frame as the awaited
 // temporary) owns the child frame, so destroying a suspended call stack
 // from the top (process crash) releases every frame via RAII.
@@ -83,6 +88,16 @@ class [[nodiscard]] Co {
     if (p.exception) std::rethrow_exception(p.exception);
     TBWF_ASSERT(p.value.has_value(), "Co<T> completed without a value");
     return std::move(*p.value);
+  }
+
+  /// Run the whole call stack to completion on the calling thread, with
+  /// no scheduler: every awaiter it meets must be ready (the rt
+  /// backend's registers complete their operation before the await).
+  /// Exceptions reach the caller.
+  T run_inline() && {
+    handle_.resume();
+    TBWF_ASSERT(handle_.done(), "Co<T>::run_inline: an awaiter suspended");
+    return await_resume();
   }
 
  private:

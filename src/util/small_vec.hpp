@@ -2,10 +2,11 @@
 // inline and spills to the heap beyond that.
 //
 // The QA universal construction keeps one (uid, result) pair per process
-// in every StateRec, and the protocol copies records on every register
-// read and publish. At the process counts the explorer and most tests run
-// (n <= N) those copies then allocate nothing; larger n keeps working,
-// with one heap buffer per array as std::vector would have.
+// in every StateRec, and a proposer copies the frontier's StateRec to
+// build each fresh state. At the process counts the explorer and most
+// tests run (n <= N) that copy then allocates nothing for the arrays;
+// larger n keeps working, with one heap buffer per array as std::vector
+// would have.
 #pragma once
 
 #include <algorithm>
@@ -43,6 +44,11 @@ class SmallVec {
   T* end() { return data() + size_; }
   const T* begin() const { return data(); }
   const T* end() const { return data() + size_; }
+
+  /// Element-wise equality; where the elements live does not matter.
+  friend bool operator==(const SmallVec& a, const SmallVec& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
 
  private:
   std::size_t size_ = 0;

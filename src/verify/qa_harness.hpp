@@ -64,14 +64,14 @@ std::uint64_t fold_token(std::uint64_t h, const Token& t) {
   return util::hash_mix(h, t.pid);
 }
 
-/// A QA slot record; `fold_state_rec` folds its two state records.
+/// A QA slot record; `fold_state_rec` folds the two states it points at.
 template <class Record, class FoldStateRec>
 std::uint64_t fold_record(std::uint64_t h, const Record& rec,
                           FoldStateRec fold_state_rec) {
   h = fold_token(h, rec.promised);
   h = fold_token(h, rec.accepted);
-  h = fold_state_rec(h, rec.accepted_state);
-  return fold_state_rec(h, rec.decided);
+  h = fold_state_rec(h, *rec.accepted_state);
+  return fold_state_rec(h, *rec.decided);
 }
 
 /// The object part of every QaUniversal fingerprint: each process's

@@ -1,10 +1,11 @@
 // Real-thread specialists of the zoo objects, on genuinely abortable
 // try-lock registers (RtAbortableReg) -- the rt twins of snapshot.hpp,
-// turn_queue.hpp and ledger.hpp. The universal rt twins are simply
-// RtQaUniversal<S> / RtQaBatched<S> over the same zoo_types.hpp specs.
+// turn_queue.hpp and ledger.hpp. The universal rt objects are
+// RtQaUniversal<S> (the explorer-checked qa::QaUniversal itself, run on
+// threads) and RtQaBatched<S> over the same zoo_types.hpp specs.
 //
-// Same protocols as the sim specialists; the difference is the base
-// register: every read may return nullopt and every write may return
+// The specialists here are hand ports of the sim protocols; the
+// difference is the base register: every read may return nullopt and every write may return
 // false (cell busy, injected fault). The T_QA translation is uniform:
 //  - an aborted READ aborts the surrounding operation with bottom; no
 //    shared state was touched, so the fate is F (NotApplied) and query

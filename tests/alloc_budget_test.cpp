@@ -5,15 +5,16 @@
 // simulated QA step allocates is paid hundreds of thousands of times per
 // exploration. This binary replaces the global operator new with a
 // counting one and holds the canonical n = 3 QA counter exploration to a
-// fixed number of allocations per schedule (about 187 are needed). A
+// fixed number of allocations per schedule (about 177 are needed). A
 // record copy, register op or read pass that starts allocating again
 // breaks the budget long before it shows as noise in the benchmark.
 //
-// The rt construction shares decided states by pointer: a solo
+// The QA construction shares decided states by pointer: a solo
 // RtTbwfObject op builds one new state (a copy of the frontier with the
-// op applied) and otherwise copies pointers, so it allocates that state
-// and the result it hands back. Its budget is an exact count, so it
-// gates the saving that wall-clock numbers only report.
+// op applied) and otherwise copies pointers, so it allocates that state,
+// the one coroutine frame the operation runs in, and the result it
+// hands back. Its budget is an exact count, so it gates the saving that
+// wall-clock numbers only report.
 //
 // Sanitizer runtimes interpose their own allocator, so the test skips
 // itself there.
@@ -108,7 +109,8 @@ TEST(AllocBudget, SoloRtTbwfCounterOpStaysWithinBudget) {
 #ifdef TBWF_UNDER_SANITIZER
   GTEST_SKIP() << "sanitizer allocators make the count meaningless";
 #endif
-  // One new state: the shared block and its last_uid/last_result.
+  // One new state (its last_uid/last_result stay inline at n = 3) and
+  // the operation's coroutine frame: 2 per op.
   const double per_op = allocations_per_solo_op<qa::Counter>(
       0, [](int) { return qa::Counter::Op{1}; });
   EXPECT_LE(per_op, 6.0);
@@ -120,8 +122,8 @@ TEST(AllocBudget, SoloRtTbwfSnapshotOpStaysWithinBudget) {
   GTEST_SKIP() << "sanitizer allocators make the count meaningless";
 #endif
   // Alternating own-segment updates and 64-segment scans. Beyond the
-  // new state, a scan pays for its view: in the state and in the
-  // response handed back.
+  // new state and the frame, a scan pays for its view: in the state and
+  // in the response handed back (5 per op on average).
   using zoo::SnapshotType;
   const double per_op = allocations_per_solo_op<SnapshotType>(
       SnapshotType::initial(64), [](int i) {

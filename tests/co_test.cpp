@@ -1,8 +1,10 @@
 // Tests of the nested sub-procedure coroutine type Co<T>: value
 // delivery, exception propagation through nested frames, interaction
-// with register-operation suspension, and RAII teardown.
+// with register-operation suspension, RAII teardown, and run_inline()
+// (a whole stack of ready awaiters completed on the calling thread).
 #include <gtest/gtest.h>
 
+#include <coroutine>
 #include <memory>
 #include <stdexcept>
 
@@ -171,6 +173,56 @@ TEST(Co, CrashDestroysSuspendedNestedStacks) {
   w->crash(0);  // destroys the three-deep suspended stack
   w->run(50);
   EXPECT_GT(other, 50);
+}
+
+// -- run_inline ---------------------------------------------------------------------
+
+/// An awaiter whose operation is already done, like the rt registers'.
+struct ReadyValue {
+  I64 value;
+  bool await_ready() const noexcept { return true; }
+  void await_suspend(std::coroutine_handle<>) const noexcept {}
+  I64 await_resume() const noexcept { return value; }
+};
+
+Co<I64> ready_leaf(I64 v) { co_return co_await ReadyValue{v}; }
+
+Co<I64> ready_sum() {
+  const I64 a = co_await ready_leaf(10);
+  const I64 b = co_await ready_leaf(32);
+  co_return a + b;
+}
+
+TEST(CoRunInline, NestedReadyAwaitersCompleteInline) {
+  EXPECT_EQ(ready_sum().run_inline(), 42);
+}
+
+Co<std::unique_ptr<I64>> ready_boxed(I64 v) {
+  co_return std::make_unique<I64>(co_await ReadyValue{v});
+}
+
+TEST(CoRunInline, MoveOnlyResultReachesTheCaller) {
+  const std::unique_ptr<I64> boxed = ready_boxed(7).run_inline();
+  ASSERT_NE(boxed, nullptr);
+  EXPECT_EQ(*boxed, 7);
+}
+
+Co<I64> ready_thrower(int depth) {
+  if (depth == 0) throw std::runtime_error("boom");
+  co_return co_await ready_thrower(depth - 1);
+}
+
+TEST(CoRunInline, ExceptionReachesTheCaller) {
+  EXPECT_THROW((void)ready_thrower(3).run_inline(), std::runtime_error);
+}
+
+Co<I64> suspends_once() {
+  co_await std::suspend_always{};
+  co_return 1;
+}
+
+TEST(CoRunInline, SuspendingAwaiterDies) {
+  EXPECT_DEATH((void)suspends_once().run_inline(), "an awaiter suspended");
 }
 
 }  // namespace

@@ -199,6 +199,17 @@ TEST(RtQaUniversal, ContendedAccountingIsExact) {
   EXPECT_EQ(obj.frontier_snapshot().state, applied.load());
 }
 
+TEST(RtQaUniversal, OutOfRangeTidDies) {
+  // Re-executes the binary for the child instead of forking it: safe
+  // under TSan, which forbids threads after a fork.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  RtQaUniversal<qa::Counter> obj(2, 0);
+  EXPECT_DEATH((void)obj.invoke(2, qa::Counter::Op{1}), "tid out of range");
+  EXPECT_DEATH((void)obj.query(5), "tid out of range");
+  EXPECT_DEATH((void)obj.read_frontier(2), "tid out of range");
+  EXPECT_DEATH((void)obj.local_decided(2), "tid out of range");
+}
+
 TEST(RtTbwfObject, CounterExactlyOnceAcrossThreads) {
   const int threads = 4;
   const int ops = 1500;

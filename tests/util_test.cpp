@@ -266,5 +266,41 @@ TEST(SmallVec, ReassignAcrossTheInlineBound) {
   EXPECT_EQ(v[2], 4u);
 }
 
+TEST(SmallVec, EqualityComparesElements) {
+  util::SmallVec<std::uint64_t, 2> a;
+  util::SmallVec<std::uint64_t, 2> b;
+  a.assign(2, 7);
+  b.assign(2, 7);
+  EXPECT_TRUE(a == b);
+  b[1] = 8;
+  EXPECT_FALSE(a == b);
+}
+
+TEST(SmallVec, DifferentSizesAreUnequal) {
+  util::SmallVec<std::uint64_t, 2> a;
+  util::SmallVec<std::uint64_t, 2> b;
+  a.assign(1, 7);
+  b.assign(2, 7);
+  EXPECT_FALSE(a == b);
+  EXPECT_FALSE(b == a);
+  b.assign(0, 7);
+  a.assign(0, 3);
+  EXPECT_TRUE(a == b);
+}
+
+TEST(SmallVec, SpilledVectorsCompareByValue) {
+  util::SmallVec<std::uint64_t, 2> a;
+  util::SmallVec<std::uint64_t, 2> b;
+  a.assign(5, 1);
+  b = a;
+  EXPECT_TRUE(a == b);
+  b[4] = 2;
+  EXPECT_FALSE(a == b);
+  // Shrinking back inline leaves a stale heap buffer that must not count.
+  a.assign(2, 1);
+  b.assign(2, 1);
+  EXPECT_TRUE(a == b);
+}
+
 }  // namespace
 }  // namespace tbwf

@@ -56,7 +56,8 @@ class GBenchJsonAdapter : public benchmark::ConsoleReporter {
         }
       }
       json_.row("throughput", value, "items/s", /*seed=*/0, config);
-      collected_.push_back(GBenchRow{name, run.threads, value});
+      collected_.push_back(
+          GBenchRow{name, static_cast<int>(run.threads), value});
     }
   }
 

@@ -151,7 +151,7 @@ void print_human(const BackendRun& run) {
     std::printf(" => final %s (stable since %llu / %llu)\n",
                 final == omega::kNoLeader
                     ? "?"
-                    : ("p" + std::to_string(final)).c_str(),
+                    : std::string("p").append(std::to_string(final)).c_str(),
                 static_cast<unsigned long long>(run.leaders[p].last_change()),
                 static_cast<unsigned long long>(run.run_end));
   }
@@ -166,7 +166,7 @@ void print_human(const BackendRun& run) {
       for (std::size_t p = 0; p < w.members.size(); ++p) {
         if (!w.members[p]) continue;
         if (!members.empty()) members += ",";
-        members += "p" + std::to_string(p);
+        members.append("p").append(std::to_string(p));
       }
       std::printf("    epoch %u [%llu,%llu) members={%s}\n", w.epoch,
                   static_cast<unsigned long long>(w.from),

@@ -15,8 +15,11 @@ std::vector<HbEndpoint> make_hb_mesh(sim::World& world,
   for (sim::Pid p = 0; p < n; ++p) {
     for (sim::Pid q = 0; q < n; ++q) {
       if (p == q) continue;
-      const std::string pair =
-          "[" + std::to_string(p) + "," + std::to_string(q) + "]";
+      // Appended rather than chained with operator+, which trips a GCC 12
+      // -Wrestrict false positive inside libstdc++.
+      std::string pair = "[";
+      pair.append(std::to_string(p)).append(",").append(std::to_string(q));
+      pair.append("]");
       auto r1 = world.make_abortable<HbStamp>(prefix + "1" + pair,
                                               HbStamp::make(0), policy,
                                               /*writer=*/p, /*reader=*/q);

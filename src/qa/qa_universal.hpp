@@ -227,6 +227,7 @@ class QaUniversal {
       return round > other.round ||
              (round == other.round && pid > other.pid);
     }
+    bool operator==(const Token&) const = default;
   };
 
   /// Processes whose per-process arrays a StateRec stores inline; more
@@ -251,6 +252,10 @@ class QaUniversal {
     Token accepted;
     StatePtr accepted_state;
     StatePtr decided;
+
+    /// States are immutable, so equal tokens and equal pointers are an
+    /// equal record (the rt read pass skips copying an unchanged one).
+    bool operator==(const Record&) const = default;
   };
 
   QaUniversal(Home& home, State initial,

@@ -19,7 +19,10 @@
 // Records carry their two states by pointer, and a state is immutable
 // once its pointer is first written to a register. The publication edge
 // is the cell's release/acquire pair (docs/MODEL.md, "The rt memory
-// model"); reference counts are shared_ptr's own atomics.
+// model"); reference counts are shared_ptr's own atomics. Those are
+// the bulk of a solo operation's cost once the process runs a second
+// thread, so the read pass takes a reference only for a record that
+// changed: RtAbortableReg::read_into leaves an equal view slot as it is.
 #pragma once
 
 #include <coroutine>
@@ -95,6 +98,8 @@ struct RtBase {
     }
   }
   /// SimBase::read_pass as a plain loop: no coroutine frame per pass.
+  /// A peer record equal to its view slot is not copied, so a pass over
+  /// unchanged records updates no reference count.
   template <class Rec>
   static Done<bool> read_pass(Env&, const std::vector<Reg<Rec>>& regs,
                               sim::Pid self, const Rec& mine,
@@ -104,9 +109,7 @@ struct RtBase {
         view[q] = mine;
         continue;
       }
-      auto r = regs[q]->read();
-      if (!r.has_value()) return {false};
-      view[q] = std::move(*r);
+      if (!regs[q]->read_into(view[q])) return {false};
     }
     return {true};
   }

@@ -215,6 +215,27 @@ class alignas(util::kCacheLineSize) RtAbortableReg {
     return copy;
   }
 
+  /// read() into the caller's `slot`: returns false iff the read aborted,
+  /// and then leaves `slot` untouched. A cell whose value already equals
+  /// `slot` is released without copying, so an unchanged record costs no
+  /// reference-count update. A changed value is copied under the cell
+  /// and assigned after release(): the value it displaces from `slot`
+  /// dies outside the critical section, as in write(T&&).
+  bool read_into(T& slot) {
+    const RtRegFault fault = consult(/*is_write=*/false);
+    if (fault == RtRegFault::Abort) return false;
+    if (!try_acquire()) return false;
+    const T& src = fault == RtRegFault::Stale ? prev_value_ : value_;
+    if (src == slot) {
+      release();
+      return true;
+    }
+    T copy = src;
+    release();
+    slot = std::move(copy);
+    return true;
+  }
+
   /// Returns false iff the write aborted (cell busy, flake or jam; no
   /// effect). Inside a Drop window the write reports true but the
   /// register keeps its value -- the caller has no way to notice.

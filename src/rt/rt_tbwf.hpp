@@ -27,6 +27,7 @@
 #include <chrono>
 #include <cstdint>
 #include <thread>
+#include <utility>
 
 #include "registers/abort_policy.hpp"
 #include "rt/rt_registers.hpp"
@@ -487,11 +488,11 @@ class RtTbwfObject {
         continue;
       }
       lost_elections = 0;
-      const auto r = unresolved ? qa_.query(tid) : qa_.invoke(tid, op);
+      auto r = unresolved ? qa_.query(tid) : qa_.invoke(tid, op);
       if (!unresolved) unresolved = true;
       if (r.ok()) {
         elector_.release(tid);
-        return r.value;
+        return std::move(r.value);
       }
       if (r.not_applied()) unresolved = false;  // F is final: safe to retry
       // bottom: keep querying (possibly after re-winning the lease)

@@ -123,7 +123,8 @@ TEST(AllocBudget, SoloRtTbwfSnapshotOpStaysWithinBudget) {
 #endif
   // Alternating own-segment updates and 64-segment scans. Beyond the
   // new state and the frame, a scan pays for its view: in the state and
-  // in the response handed back (5 per op on average).
+  // in the response, which RtTbwfObject::invoke moves out to the caller
+  // (4.5 per op on average).
   using zoo::SnapshotType;
   const double per_op = allocations_per_solo_op<SnapshotType>(
       SnapshotType::initial(64), [](int i) {

@@ -124,7 +124,9 @@ TEST(Facade, OmegaIoIsSharedWithObject) {
     return n_ops(env, sys.object(), 1, done);
   });
   world.run(100);  // mid-operation: p0 competes
-  if (done == 0) EXPECT_TRUE(sys.omega_io(0).candidate);
+  if (done == 0) {
+    EXPECT_TRUE(sys.omega_io(0).candidate);
+  }
   world.run(5000000);
   EXPECT_EQ(done, 1);
   // After completing, p0 retired its candidacy.

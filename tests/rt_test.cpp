@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "rt/rt_baselines.hpp"
@@ -56,6 +60,216 @@ TEST(RtAbortableReg, SuccessfulReadsSeeLatestSuccessfulWrite) {
   reader.join();
   EXPECT_FALSE(violation.load());
   EXPECT_GT(last_written.load(), 0);
+}
+
+// read_into: the rt QA read pass's copy-on-change read.
+
+/// A record of two shared pointers, equal by pointer like the QA records.
+struct PtrRec {
+  std::shared_ptr<const int> a, b;
+  bool operator==(const PtrRec&) const = default;
+};
+
+/// Runs `on_destroy` when its last reference dies, so a register that
+/// holds shared_ptrs to it shows where that happens.
+struct Tripwire {
+  explicit Tripwire(std::function<void()> f) : on_destroy(std::move(f)) {}
+  Tripwire(const Tripwire&) = delete;
+  ~Tripwire() { on_destroy(); }
+  std::function<void()> on_destroy;
+};
+using TripPtr = std::shared_ptr<const Tripwire>;
+
+TripPtr make_trip(std::function<void()> f) {
+  return std::make_shared<const Tripwire>(std::move(f));
+}
+
+/// Opens one full-rate fault window of `kind` for good.
+void arm_open(RtAbortInjector& injector, registers::RegFaultKind kind) {
+  injector.arm(/*seed=*/3, /*origin_ns=*/0,
+               {{.from_ns = 0,
+                 .to_ns = RtAbortInjector::kForeverNs,
+                 .rate_millionths = 1000000,
+                 .kind = kind}});
+}
+
+TEST(RtAbortableReg, ReadIntoUnchangedCellTouchesNoCount) {
+  const auto a = std::make_shared<const int>(1);
+  const auto b = std::make_shared<const int>(2);
+  RtAbortableReg<PtrRec> reg(PtrRec{a, b});
+  PtrRec slot{a, b};
+  const long a_uses = a.use_count();
+  const long b_uses = b.use_count();
+  ASSERT_TRUE(reg.read_into(slot));
+  EXPECT_EQ(slot.a, a);
+  EXPECT_EQ(slot.b, b);
+  EXPECT_EQ(a.use_count(), a_uses);
+  EXPECT_EQ(b.use_count(), b_uses);
+}
+
+/// Counts its copies; moves are free.
+struct CopyCounted {
+  int v = 0;
+  static inline int copies = 0;
+  explicit CopyCounted(int x) : v(x) {}
+  CopyCounted(const CopyCounted& o) : v(o.v) { ++copies; }
+  CopyCounted& operator=(const CopyCounted& o) {
+    v = o.v;
+    ++copies;
+    return *this;
+  }
+  CopyCounted(CopyCounted&&) = default;
+  CopyCounted& operator=(CopyCounted&&) = default;
+  bool operator==(const CopyCounted& o) const { return v == o.v; }
+};
+
+TEST(RtAbortableReg, ReadIntoCopiesOnlyAChangedValue) {
+  RtAbortableReg<CopyCounted> reg(CopyCounted(1));
+  CopyCounted slot(1);
+  CopyCounted::copies = 0;
+  ASSERT_TRUE(reg.read_into(slot));
+  EXPECT_EQ(CopyCounted::copies, 0);
+  ASSERT_TRUE(reg.write(CopyCounted(2)));
+  ASSERT_TRUE(reg.read_into(slot));
+  EXPECT_EQ(slot.v, 2);
+  EXPECT_EQ(CopyCounted::copies, 1);
+}
+
+TEST(RtAbortableReg, ReadIntoChangedCellReplacesSlot) {
+  const auto a = std::make_shared<const int>(1);
+  const auto b = std::make_shared<const int>(2);
+  const auto c = std::make_shared<const int>(3);
+  RtAbortableReg<PtrRec> reg(PtrRec{a, a});
+  PtrRec slot{a, a};
+  ASSERT_TRUE(reg.write(PtrRec{b, c}));
+  const long a_uses = a.use_count();
+  ASSERT_TRUE(reg.read_into(slot));
+  EXPECT_EQ(slot.a, b);
+  EXPECT_EQ(slot.b, c);
+  EXPECT_EQ(a.use_count(), a_uses - 2) << "the slot's old references";
+  EXPECT_EQ(slot, *reg.read());
+}
+
+TEST(RtAbortableReg, ReadIntoStaleWindowServesPreviousValue) {
+  RtAbortableReg<int> reg(1);
+  ASSERT_TRUE(reg.write(2));
+  RtAbortInjector injector;
+  arm_open(injector, registers::RegFaultKind::Stale);
+  reg.set_injector(&injector);
+  int slot = 0;
+  ASSERT_TRUE(reg.read_into(slot));
+  EXPECT_EQ(slot, 1);
+  ASSERT_TRUE(reg.read_into(slot));  // the previous value, now unchanged
+  EXPECT_EQ(slot, 1);
+  reg.set_injector(nullptr);
+  ASSERT_TRUE(reg.read_into(slot));
+  EXPECT_EQ(slot, 2);
+}
+
+TEST(RtAbortableReg, ReadIntoAbortsLeaveSlotUntouched) {
+  const auto a = std::make_shared<const int>(1);
+  const auto b = std::make_shared<const int>(2);
+  RtAbortableReg<PtrRec> reg(PtrRec{b, b});
+  PtrRec slot{a, a};
+  const long a_uses = a.use_count();
+  const long b_uses = b.use_count();
+  for (const auto kind :
+       {registers::RegFaultKind::Flake, registers::RegFaultKind::Jam}) {
+    RtAbortInjector injector;
+    arm_open(injector, kind);
+    reg.set_injector(&injector);
+    EXPECT_FALSE(reg.read_into(slot)) << registers::to_string(kind);
+    reg.set_injector(nullptr);
+    EXPECT_EQ(slot, (PtrRec{a, a}));
+    EXPECT_EQ(a.use_count(), a_uses);
+    EXPECT_EQ(b.use_count(), b_uses);
+  }
+
+  // A busy cell: write(const T&) assigns over the value it displaces
+  // under the cell, so when that drops the tripwire's last reference its
+  // destructor runs inside the critical section and finds the cell taken.
+  const TripPtr calm = make_trip([] {});
+  const TripPtr kept = make_trip([] {});  // never in the cell
+  TripPtr trip_slot = kept;
+  RtAbortableReg<TripPtr>* busy_reg = nullptr;
+  bool fired = false;
+  bool aborted = false;
+  bool untouched = false;
+  RtAbortableReg<TripPtr> busy(make_trip([&] {
+    fired = true;
+    const long uses = kept.use_count();
+    aborted = !busy_reg->read_into(trip_slot);
+    untouched = trip_slot == kept && kept.use_count() == uses;
+  }));
+  busy_reg = &busy;
+  ASSERT_TRUE(busy.write(calm));  // the previous value still holds it
+  ASSERT_FALSE(fired);
+  ASSERT_TRUE(busy.write(calm));
+  ASSERT_TRUE(fired);
+  EXPECT_TRUE(aborted);
+  EXPECT_TRUE(untouched);
+}
+
+// The sink-write rule (docs/MODEL.md): a value whose destruction frees
+// memory never dies inside the cell. Each tripwire reads its register
+// from its destructor, which would abort on the cell's own lock.
+TEST(RtAbortableReg, SinkWriteDropsDisplacedValueOutsideTheCell) {
+  RtAbortableReg<TripPtr>* reg_ptr = nullptr;
+  bool fired = false;
+  bool read_ok = false;
+  RtAbortableReg<TripPtr> reg(make_trip([&] {
+    fired = true;
+    read_ok = reg_ptr->read().has_value();
+  }));
+  reg_ptr = &reg;
+  const TripPtr calm = make_trip([] {});
+  ASSERT_TRUE(reg.write(TripPtr(calm)));  // the previous value holds it
+  ASSERT_FALSE(fired);
+  ASSERT_TRUE(reg.write(TripPtr(calm)));
+  ASSERT_TRUE(fired);
+  EXPECT_TRUE(read_ok) << "the displaced value died inside the cell";
+}
+
+TEST(RtAbortableReg, ReadIntoDropsDisplacedSlotOutsideTheCell) {
+  RtAbortableReg<TripPtr> reg(make_trip([] {}));
+  bool fired = false;
+  bool read_ok = false;
+  TripPtr slot = make_trip([&] {
+    fired = true;
+    read_ok = reg.read().has_value();
+  });
+  ASSERT_TRUE(reg.read_into(slot));
+  ASSERT_TRUE(fired);
+  EXPECT_TRUE(read_ok) << "the displaced slot value died inside the cell";
+}
+
+TEST(RtAbortableReg, ReadIntoSeesConsistentMonotoneRecords) {
+  RtAbortableReg<PtrRec> reg(PtrRec{std::make_shared<const int>(0),
+                                    std::make_shared<const int>(0)});
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    int v = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      auto p = std::make_shared<const int>(v + 1);
+      if (reg.write(PtrRec{p, p})) ++v;
+    }
+  });
+  int reads = 0;
+  int prev = 0;
+  bool violation = false;  // a torn record, or a value going back
+  PtrRec slot{};
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+  while (!violation && std::chrono::steady_clock::now() < until) {
+    if (!reg.read_into(slot)) continue;
+    ++reads;
+    violation = slot.a == nullptr || *slot.a != *slot.b || *slot.a < prev;
+    if (!violation) prev = *slot.a;
+  }
+  stop = true;
+  writer.join();
+  EXPECT_FALSE(violation);
+  EXPECT_GT(reads, 0);
 }
 
 TEST(LeaseElector, SingleThreadAcquiresImmediately) {

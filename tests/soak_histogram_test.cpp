@@ -45,7 +45,9 @@ TEST(LogHistogramTest, IndexRoundTripsAndIsMonotone) {
     ASSERT_LT(i, LogHistogram::kBuckets) << "v=" << v;
     EXPECT_LE(LogHistogram::bucket_lower(i), v) << "v=" << v;
     EXPECT_GE(LogHistogram::bucket_upper(i), v) << "v=" << v;
-    if (v >= prev_v) EXPECT_GE(i, prev) << "v=" << v;
+    if (v >= prev_v) {
+      EXPECT_GE(i, prev) << "v=" << v;
+    }
     prev = i;
     prev_v = v;
   }

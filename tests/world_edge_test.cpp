@@ -102,13 +102,13 @@ TEST(WorldStress, SixteenProcessesFourTasksEachStayConsistent) {
   World world(n, std::make_unique<RandomSchedule>(99));
   std::vector<AtomicReg<I64>> regs;
   for (int i = 0; i < 32; ++i) {
-    regs.push_back(world.make_atomic<I64>("r" + std::to_string(i), 0));
+    regs.push_back(
+        world.make_atomic<I64>(std::string("r").append(std::to_string(i)), 0));
   }
   for (Pid p = 0; p < n; ++p) {
     for (int t = 0; t < 4; ++t) {
-      world.spawn(p, "w" + std::to_string(t), [&regs](SimEnv& env) {
-        return stress_worker(env, regs);
-      });
+      world.spawn(p, std::string("w").append(std::to_string(t)),
+                  [&regs](SimEnv& env) { return stress_worker(env, regs); });
     }
   }
   EXPECT_EQ(world.run(2000000), 2000000u);

@@ -68,6 +68,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "qa/qa_object.hpp"
@@ -92,8 +93,7 @@ namespace tbwf::qa {
 // ---------------------------------------------------------------------------
 
 /// What both simulator policies share: the World as home, SimEnv as
-/// environment, and the read pass as one coroutine over Policy::read.
-template <class Policy>
+/// environment, and the read pass as one chained awaiter.
 struct SimBase {
   using Env = sim::SimEnv;
   using Home = sim::World;
@@ -106,23 +106,85 @@ struct SimBase {
     return world.template peek<Rec>(r.idx);
   }
 
-  /// One read pass over all records into `view`; the caller's own slot
-  /// is `mine`, what it last tried to write there. False iff a base read
-  /// aborted, leaving `view` partly filled.
+  /// One read pass over the other processes' records into `view`; the
+  /// caller's own slot is not read and keeps whatever it held. Yields
+  /// false iff a base read aborted, leaving `view` partly filled.
+  ///
+  /// The pass is one awaiter, not a coroutine: each read's completion
+  /// stores its record and opens the next read in the same step (see
+  /// OpCompletion::complete), so the pass takes exactly the steps of its
+  /// reads and needs no frame of its own.
   template <class Rec, class Regs>
-  static sim::Co<bool> read_pass(Env& env, const Regs& regs, sim::Pid self,
-                                 const Rec& mine, std::vector<Rec>& view) {
-    for (sim::Pid q = 0; q < static_cast<sim::Pid>(regs.size()); ++q) {
-      if (q == self) {
-        view[q] = mine;
-        continue;
-      }
-      std::optional<Rec> r =
-          co_await Policy::template read<Rec>(env, regs[q]);
-      if (!r.has_value()) co_return false;
-      view[q] = std::move(*r);
+  class ReadPass final : public sim::detail::OpCompletion {
+   public:
+    ReadPass(Env& env, const Regs& regs, sim::Pid self,
+             std::vector<Rec>& view)
+        : env_(env), regs_(regs), self_(self), view_(view),
+          q_(next_after(-1)) {}
+    /// The world holds this pass's address while a read is open.
+    ReadPass(const ReadPass&) = delete;
+    ReadPass& operator=(const ReadPass&) = delete;
+
+    bool await_ready() const noexcept { return q_ == end(); }
+    void await_suspend(std::coroutine_handle<> h) {
+      env_.world().set_resume_handle(h);
+      open();
     }
-    co_return true;
+    bool await_resume() const noexcept { return ok_; }
+
+    void complete(sim::World& world, const registers::OpContext& ctx,
+                  bool overlapped) override {
+      read_->complete(world, ctx, overlapped);
+      if (!store(read_->await_resume())) {
+        ok_ = false;
+        return;
+      }
+      q_ = next_after(q_);
+      if (q_ != end()) open();
+    }
+    void settle_crash(sim::World& world,
+                      const registers::OpContext& ctx) override {
+      read_->settle_crash(world, ctx);
+    }
+
+   private:
+    /// The simulator's read awaiter for one register of the pass.
+    using ReadOp = decltype(std::declval<Env&>().read(
+        std::declval<const typename Regs::value_type&>()));
+
+    sim::Pid end() const { return static_cast<sim::Pid>(regs_.size()); }
+    sim::Pid next_after(sim::Pid q) const {
+      ++q;
+      return q == self_ ? q + 1 : q;
+    }
+    /// Opens the read of regs_[q_], with this pass as its completion.
+    void open() {
+      read_.emplace(env_.read(regs_[q_]));
+      env_.world().begin_op(read_->cell, /*is_write=*/false, this);
+    }
+    bool store(Rec&& r) {
+      view_[q_] = std::move(r);
+      return true;
+    }
+    bool store(std::optional<Rec>&& r) {
+      if (!r.has_value()) return false;
+      view_[q_] = std::move(*r);
+      return true;
+    }
+
+    Env& env_;
+    const Regs& regs_;
+    sim::Pid self_;
+    std::vector<Rec>& view_;
+    sim::Pid q_;  ///< the register being read; end() when done
+    std::optional<ReadOp> read_;
+    bool ok_ = true;
+  };
+
+  template <class Rec, class Regs>
+  static ReadPass<Rec, Regs> read_pass(Env& env, const Regs& regs,
+                                       sim::Pid self, std::vector<Rec>& view) {
+    return ReadPass<Rec, Regs>(env, regs, self, view);
   }
 };
 
@@ -131,7 +193,7 @@ struct SimBase {
 /// op allocates no frame), giving the same result shapes as the
 /// abortable base: a read yields an engaged optional, a write yields
 /// true.
-struct AtomicBase : SimBase<AtomicBase> {
+struct AtomicBase : SimBase {
   template <class Rec>
   using Reg = sim::AtomicReg<Rec>;
 
@@ -169,7 +231,7 @@ struct AtomicBase : SimBase<AtomicBase> {
 /// may abort under contention; an aborted base write may or may not
 /// have taken effect, which the protocol treats as "accept adoptable".
 /// read/write hand back the simulator's awaiters directly.
-struct AbortableBase : SimBase<AbortableBase> {
+struct AbortableBase : SimBase {
   template <class Rec>
   using Reg = sim::AbortableReg<Rec>;
 
@@ -412,9 +474,9 @@ class QaUniversal {
     /// Mirror of what p last tried to publish in its own register; with
     /// an atomic base this equals the register content.
     Record mine;
-    /// p's last read pass over all records (see read_pass). It is
-    /// overwritten by the next pass, so callers copy out what must
-    /// outlive it.
+    /// p's last read pass over the other processes' records (see
+    /// read_pass); view[p] is never filled. It is overwritten by the
+    /// next pass, so callers copy out what must outlive it.
     std::vector<Record> view;
     StatePtr decided;  ///< highest decided state p has observed
     std::uint64_t round = 0;
@@ -426,18 +488,21 @@ class QaUniversal {
     std::uint64_t publishes = 0;
   };
 
-  /// One read pass over all records into local_[p].view; yields false
-  /// iff a base read aborted (the view is then partial and unused).
+  /// One read pass over the other records into local_[p].view; yields
+  /// false iff a base read aborted (the view is then partial and unused).
   auto read_pass(Env& env, sim::Pid p) {
-    Local& me = local_[p];
-    return Base::template read_pass<Record>(env, regs_, p, me.mine, me.view);
+    return Base::template read_pass<Record>(env, regs_, p, local_[p].view);
   }
 
-  /// Highest decided state across p's last read pass and p's cache.
+  /// Highest decided state across p's last read pass and p's cache. p's
+  /// own record is not consulted: mine.decided never runs ahead of
+  /// me.decided.
   const StatePtr& frontier(sim::Pid p) const {
     const Local& me = local_[p];
     const StatePtr* best = &me.decided;
-    for (const Record& rec : me.view) {
+    for (sim::Pid q = 0; q < n_; ++q) {
+      if (q == p) continue;
+      const Record& rec = me.view[q];
       if (rec.decided->seq > (*best)->seq) best = &rec.decided;
     }
     return *best;

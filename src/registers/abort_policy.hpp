@@ -28,8 +28,6 @@ struct OpContext {
   /// 0xFFFFFFFF when not supplied (e.g. unit tests driving a policy
   /// directly). Fault injectors key per-register profiles on this.
   std::uint32_t reg = 0xFFFFFFFFu;
-  /// Processes whose operations on the same register overlapped this one.
-  std::vector<sim::Pid> overlap_pids;
   /// True iff at least one overlapping operation was a write (safe
   /// registers only corrupt reads that overlap a write).
   bool any_overlap_write = false;

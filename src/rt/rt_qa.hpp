@@ -97,18 +97,15 @@ struct RtBase {
       if (auto v = r->read()) return std::move(*v);
     }
   }
-  /// SimBase::read_pass as a plain loop: no coroutine frame per pass.
-  /// A peer record equal to its view slot is not copied, so a pass over
-  /// unchanged records updates no reference count.
+  /// SimBase::read_pass as a plain loop over the other records: the
+  /// caller's own slot is skipped, as in the simulator. A peer record
+  /// equal to its view slot is not copied, so a pass over unchanged
+  /// records updates no reference count.
   template <class Rec>
   static Done<bool> read_pass(Env&, const std::vector<Reg<Rec>>& regs,
-                              sim::Pid self, const Rec& mine,
-                              std::vector<Rec>& view) {
+                              sim::Pid self, std::vector<Rec>& view) {
     for (sim::Pid q = 0; q < static_cast<sim::Pid>(regs.size()); ++q) {
-      if (q == self) {
-        view[q] = mine;
-        continue;
-      }
+      if (q == self) continue;
       if (!regs[q]->read_into(view[q])) return {false};
     }
     return {true};

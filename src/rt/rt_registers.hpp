@@ -183,6 +183,13 @@ class RtAbortInjector {
       injected_by_[registers::kRegFaultKinds] = {};
 };
 
+/// What RtAbortableReg::write_if did.
+enum class GuardedWrite : std::uint8_t {
+  Written,  ///< the guard held and the write went through
+  Aborted,  ///< cell busy, flake or jam: nothing ran, no effect
+  Refused,  ///< the cell was acquired but the guard said no: no effect
+};
+
 /// Cache-line-aligned so registers packed in arrays (one per process,
 /// as RtBase gives the QA construction) never share a line: the try-lock CAS of one
 /// cell must not steal the line under a neighbouring cell's reader.
@@ -242,7 +249,19 @@ class alignas(util::kCacheLineSize) RtAbortableReg {
   /// `v` is copied into the storage of the value it displaces, so a
   /// container that fits is rewritten without allocating.
   bool write(const T& v) {
-    return commit([&](T& displaced) { displaced = v; });
+    return write_if(v, [] { return true; }) == GuardedWrite::Written;
+  }
+
+  /// write(v) that goes through only if `guard()` holds once the cell is
+  /// acquired. No other operation on this register runs between the
+  /// guard and the write, so a guard that checks a lease
+  /// (LeaseElector::validate) cannot pass for a former holder once its
+  /// successor has read or written the register: the successor took the
+  /// lease before that operation, and the cell's acquire makes the
+  /// takeover visible to the guard.
+  template <class Guard>
+  GuardedWrite write_if(const T& v, Guard guard) {
+    return commit(guard, [&](T& displaced) { displaced = v; });
   }
 
   /// Sink form of write(): `v` is moved into the cell, and the value it
@@ -251,27 +270,33 @@ class alignas(util::kCacheLineSize) RtAbortableReg {
   /// state, say -- then never runs inside the critical section.
   bool write(T&& v) {
     T incoming = std::move(v);
-    return commit([&](T& displaced) {
-      using std::swap;
-      swap(displaced, incoming);
-    });
+    return commit([] { return true; },
+                  [&](T& displaced) {
+                    using std::swap;
+                    swap(displaced, incoming);
+                  }) == GuardedWrite::Written;
   }
 
  private:
-  /// One write: current -> prev_value_, and `fill` turns the displaced
-  /// previous value (now in value_) into the new one, all under the cell.
-  template <class Fill>
-  bool commit(Fill fill) {
+  /// One write: if `guard()` holds under the cell, current ->
+  /// prev_value_, and `fill` turns the displaced previous value (now in
+  /// value_) into the new one, all under the cell.
+  template <class Guard, class Fill>
+  GuardedWrite commit(Guard guard, Fill fill) {
     const RtRegFault fault = consult(/*is_write=*/true);
-    if (fault == RtRegFault::Abort) return false;
-    if (!try_acquire()) return false;
+    if (fault == RtRegFault::Abort) return GuardedWrite::Aborted;
+    if (!try_acquire()) return GuardedWrite::Aborted;
+    if (!guard()) {
+      release();
+      return GuardedWrite::Refused;
+    }
     if (fault != RtRegFault::Drop) {
       using std::swap;
       swap(prev_value_, value_);
       fill(value_);
     }
     release();
-    return true;
+    return GuardedWrite::Written;
   }
   RtRegFault consult(bool is_write) {
     // acquire pairs with set_injector's release: observing the pointer

@@ -397,12 +397,14 @@ class LeaseElector {
 /// TBWF-style wall-clock counter (see file comment for the caveats).
 ///
 /// NOTE: this is the lightweight demo path -- a raw read-modify-write
-/// under the lease. The fence check narrows the stale-leader window to
-/// the validate-to-write gap: a leader descheduled past its lease whose
-/// tenure was taken over can no longer race the next leader from a
-/// whole operation away, but exactly-once still needs the lease term to
-/// exceed the worst preemption inside that gap. Use
-/// RtTbwfObject<qa::Counter> (uid-deduplicated) when exactness matters;
+/// under the lease. The write is guarded: the lease is validated after
+/// the cell is acquired (RtAbortableReg::write_if), so a leader that was
+/// descheduled past its lease between its read and its write is refused
+/// once the next leader has touched the cell, and it re-elects and
+/// re-reads instead of overwriting the next leader's increments. Every
+/// increment then lands exactly once whatever the preemption, though
+/// the count is only as live as the lease. RtTbwfObject<qa::Counter>
+/// (uid-deduplicated, Figure 7) is the paper's construction;
 /// bench_rt_throughput prices both.
 class RtTbwfCounter {
  public:
@@ -419,8 +421,10 @@ class RtTbwfCounter {
         for (;;) {
           auto v = cell_.read();
           if (!v.has_value()) continue;  // abort: retry (we lead)
-          if (!elector_.validate(tid, token)) break;  // lost the lease
-          if (cell_.write(*v + delta)) {
+          const GuardedWrite w = cell_.write_if(
+              *v + delta, [&] { return elector_.validate(tid, token); });
+          if (w == GuardedWrite::Refused) break;  // lost the lease
+          if (w == GuardedWrite::Written) {
             elector_.release(tid);
             return *v;
           }

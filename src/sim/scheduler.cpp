@@ -18,10 +18,7 @@ void World::advance(Pid p) {
   auto& ps = procs_[p];
 
   // Fold in sub-tasks spawned outside of p's own steps.
-  while (!ps.newborn.empty()) {
-    ps.subtasks.push_back(std::move(ps.newborn.front()));
-    ps.newborn.pop_front();
-  }
+  fold_newborn(ps);
   TBWF_ASSERT(!ps.subtasks.empty(), "advance on process with no sub-tasks");
 
   // This grant is one step of p.
@@ -47,7 +44,10 @@ void World::advance(Pid p) {
     // response will consume a future step.
     complete_pending(st);
   }
-  resume_subtask(st);
+  // A completion that opened the sub-task's next operation itself (a
+  // chained read pass) keeps the coroutine suspended until that one
+  // responds.
+  if (!st.has_pending()) resume_subtask(st);
 
   current_subtask_ = nullptr;
   current_pid_ = kNoPid;
@@ -59,12 +59,14 @@ void World::advance(Pid p) {
   }
 
   // Fold in sub-tasks spawned during this step.
-  while (!ps.newborn.empty()) {
-    ps.subtasks.push_back(std::move(ps.newborn.front()));
-    ps.newborn.pop_front();
-  }
+  fold_newborn(ps);
 
   for (auto& observer : step_observers_) observer(current_step_, p);
+}
+
+void World::fold_newborn(detail::ProcessState& ps) {
+  for (detail::SubTask& st : ps.newborn) ps.subtasks.push_back(std::move(st));
+  ps.newborn.clear();
 }
 
 void World::resume_subtask(detail::SubTask& st) {

@@ -7,6 +7,7 @@
 // against the bound the schedule was asked to guarantee.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -42,18 +43,19 @@ struct FaultEvent {
 class Trace {
  public:
   explicit Trace(int n)
-      : n_(n), crashed_at_(n, kNever), crash_count_(n, 0),
-        restart_count_(n, 0) {}
+      : n_(n), faults_(static_cast<std::size_t>(n)) {
+    steps_.reserve(kInitialSteps);
+  }
 
   void record_step(Pid p) { steps_.push_back(static_cast<std::uint16_t>(p)); }
   void record_crash(Pid p) {
-    crashed_at_[p] = now();
-    ++crash_count_[p];
+    faults_[p].crashed_at = now();
+    ++faults_[p].crashes;
     fault_log_.push_back(FaultEvent{now(), p, /*restart=*/false});
   }
   void record_restart(Pid p) {
-    crashed_at_[p] = kNever;
-    ++restart_count_[p];
+    faults_[p].crashed_at = kNever;
+    ++faults_[p].restarts;
     fault_log_.push_back(FaultEvent{now(), p, /*restart=*/true});
   }
 
@@ -64,12 +66,12 @@ class Trace {
   Pid step_owner(Step s) const { return static_cast<Pid>(steps_[s]); }
 
   /// Currently crashed (i.e. crashed and not subsequently restarted).
-  bool crashed(Pid p) const { return crashed_at_[p] != kNever; }
+  bool crashed(Pid p) const { return faults_[p].crashed_at != kNever; }
   /// Time of the latest crash p has not recovered from; kNever if alive.
-  Step crash_time(Pid p) const { return crashed_at_[p]; }
+  Step crash_time(Pid p) const { return faults_[p].crashed_at; }
 
-  std::uint64_t crash_count(Pid p) const { return crash_count_[p]; }
-  std::uint64_t restart_count(Pid p) const { return restart_count_[p]; }
+  std::uint64_t crash_count(Pid p) const { return faults_[p].crashes; }
+  std::uint64_t restart_count(Pid p) const { return faults_[p].restarts; }
 
   /// Every crash/restart in application order.
   const std::vector<FaultEvent>& fault_log() const { return fault_log_; }
@@ -103,13 +105,20 @@ class Trace {
   std::uint64_t digest() const;
 
   static constexpr Step kNever = std::numeric_limits<Step>::max();
+  /// Step-log room reserved up front: a short run (an explored schedule
+  /// takes about 46 steps) then never regrows the log.
+  static constexpr std::size_t kInitialSteps = 64;
 
  private:
   int n_;
   std::vector<std::uint16_t> steps_;
-  std::vector<Step> crashed_at_;
-  std::vector<std::uint64_t> crash_count_;
-  std::vector<std::uint64_t> restart_count_;
+  /// One process's crash state and fault tallies.
+  struct ProcessFaults {
+    Step crashed_at = kNever;  ///< latest unrecovered crash; kNever if alive
+    std::uint64_t crashes = 0;
+    std::uint64_t restarts = 0;
+  };
+  std::vector<ProcessFaults> faults_;
   std::vector<FaultEvent> fault_log_;
 };
 

@@ -15,9 +15,6 @@ using Pid = int;
 /// Global step counter == model time (one step per time unit).
 using Step = std::uint64_t;
 
-/// Unique id of a single register operation (invocation..response).
-using OpId = std::uint64_t;
-
 /// Sentinel for "no process".
 inline constexpr Pid kNoPid = -1;
 

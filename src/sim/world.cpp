@@ -16,11 +16,13 @@ World::World(int n, std::unique_ptr<Schedule> schedule, Options options)
       aux_rng_(options.seed) {
   TBWF_ASSERT(n >= 1, "world needs at least one process");
   TBWF_ASSERT(schedule_ != nullptr, "world needs a schedule");
+  // A step completes at most one operation and opens at most one.
+  if (options_.track_accesses) last_accesses_.reserve(2);
+  procs_.resize(static_cast<std::size_t>(n));
   envs_.reserve(static_cast<std::size_t>(n));
   for (Pid p = 0; p < n; ++p) {
-    procs_.emplace_back();
-    procs_.back().pid = p;
-    envs_.push_back(std::make_unique<SimEnv>(this, p));
+    procs_[p].pid = p;
+    envs_.emplace_back(this, p);
   }
 }
 
@@ -46,13 +48,13 @@ bool World::has_pending_op(Pid p) const {
 
 SimEnv& World::env(Pid p) {
   TBWF_ASSERT(p >= 0 && p < n_, "pid out of range");
-  return *envs_[p];
+  return envs_[p];
 }
 
 void World::boot_subtask(detail::ProcessState& ps, const std::string& name,
                          detail::SpawnFactory factory) {
   detail::SubTask st;
-  st.task = (*factory)(*envs_[ps.pid]);
+  st.task = (*factory)(envs_[ps.pid]);
   st.factory = std::move(factory);
   st.name = name;
   TBWF_ASSERT(st.task.valid(), "spawn factory returned an empty task");
@@ -121,21 +123,16 @@ void World::crash(Pid p) {
   auto settle = [&](detail::SubTask& st) {
     if (!st.has_pending()) return;
     auto* cell = st.pending_cell;
-    auto it = std::find_if(cell->active.begin(), cell->active.end(),
-                           [&](const detail::ActiveOp& op) {
-                             return op.id == st.pending_op;
-                           });
-    TBWF_ASSERT(it != cell->active.end(), "pending op missing from cell");
+    const detail::ActiveOp& op = st.pending_completion->interval;
     registers::OpContext ctx;
     ctx.pid = p;
-    ctx.is_write = it->is_write;
-    ctx.invoked_at = it->invoked_at;
+    ctx.is_write = op.is_write;
+    ctx.invoked_at = op.invoked_at;
     ctx.responded_at = now();
     ctx.reg = cell->idx;
-    ctx.overlap_pids = it->overlap_pids;
-    ctx.any_overlap_write = it->saw_overlap_write;
+    ctx.any_overlap_write = op.saw_overlap_write;
     st.pending_completion->settle_crash(*this, ctx);
-    cell->active.erase(it);
+    unlink_op(cell, st.pending_completion->interval);
     st.pending_cell = nullptr;
     st.pending_is_write = false;
     st.pending_completion = nullptr;
@@ -184,24 +181,22 @@ void World::begin_op(detail::RegCellBase* cell, bool is_write,
     }
   }
 
-  detail::ActiveOp op;
-  op.id = next_op_id_++;
+  detail::ActiveOp& op = completion->interval;
+  op = detail::ActiveOp{};
   op.pid = p;
   op.is_write = is_write;
   op.invoked_at = current_step_;
-  op.saw_overlap = !cell->active.empty();
-  op.completion = completion;
-  for (auto& other : cell->active) {
-    other.saw_overlap = true;
-    if (is_write) other.saw_overlap_write = true;
-    if (other.is_write) op.saw_overlap_write = true;
-    other.overlap_pids.push_back(p);
-    op.overlap_pids.push_back(other.pid);
+  op.saw_overlap = cell->active != nullptr;
+  for (detail::ActiveOp* other = cell->active; other != nullptr;
+       other = other->next) {
+    other->saw_overlap = true;
+    if (is_write) other->saw_overlap_write = true;
+    if (other->is_write) op.saw_overlap_write = true;
   }
-  cell->active.push_back(std::move(op));
+  op.next = cell->active;
+  cell->active = &op;
 
   current_subtask_->pending_cell = cell;
-  current_subtask_->pending_op = cell->active.back().id;
   current_subtask_->pending_is_write = is_write;
   current_subtask_->pending_completion = completion;
 
@@ -212,24 +207,29 @@ void World::begin_op(detail::RegCellBase* cell, bool is_write,
   }
 }
 
+void World::unlink_op(detail::RegCellBase* cell, detail::ActiveOp& op) {
+  detail::ActiveOp** link = &cell->active;
+  while (*link != &op) {
+    TBWF_ASSERT(*link != nullptr, "pending op missing from cell");
+    link = &(*link)->next;
+  }
+  *link = op.next;
+}
+
 void World::complete_pending(detail::SubTask& st) {
   auto* cell = st.pending_cell;
-  auto it = std::find_if(
-      cell->active.begin(), cell->active.end(),
-      [&](const detail::ActiveOp& op) { return op.id == st.pending_op; });
-  TBWF_ASSERT(it != cell->active.end(), "pending op missing from cell");
+  auto* completion = st.pending_completion;
+  const detail::ActiveOp& op = completion->interval;
 
   registers::OpContext ctx;
-  ctx.pid = it->pid;
-  ctx.is_write = it->is_write;
-  ctx.invoked_at = it->invoked_at;
+  ctx.pid = op.pid;
+  ctx.is_write = op.is_write;
+  ctx.invoked_at = op.invoked_at;
   ctx.responded_at = current_step_;
   ctx.reg = cell->idx;
-  ctx.overlap_pids = std::move(it->overlap_pids);
-  ctx.any_overlap_write = it->saw_overlap_write;
-  const bool overlapped = it->saw_overlap;
-  auto* completion = it->completion;
-  cell->active.erase(it);
+  ctx.any_overlap_write = op.saw_overlap_write;
+  const bool overlapped = op.saw_overlap;
+  unlink_op(cell, completion->interval);
 
   st.pending_cell = nullptr;
   st.pending_is_write = false;

@@ -23,7 +23,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -77,28 +76,35 @@ struct AbortableReg {
 
 namespace detail {
 
-/// Completion interface implemented by the register-operation awaiters.
-/// The awaiter object lives in the suspended coroutine frame, so it is
-/// stable while the operation is pending.
-struct OpCompletion {
-  virtual ~OpCompletion() = default;
-  /// Decide the operation's outcome and apply any effect. `overlapped`
-  /// is true iff some other operation's interval intersected this one.
-  virtual void complete(World& world, const registers::OpContext& ctx,
-                        bool overlapped) = 0;
-  /// The owning process crashed while the operation was pending.
-  virtual void settle_crash(World& world, const registers::OpContext& ctx) = 0;
-};
-
+/// One open operation interval, linked into its register's active list
+/// from the invocation step until the response step (or the crash of
+/// its process).
 struct ActiveOp {
-  OpId id = 0;
   Pid pid = kNoPid;
   bool is_write = false;
   Step invoked_at = 0;
   bool saw_overlap = false;
   bool saw_overlap_write = false;
-  std::vector<Pid> overlap_pids;
-  OpCompletion* completion = nullptr;
+  ActiveOp* next = nullptr;  ///< next open operation on the same register
+};
+
+/// Completion interface implemented by the register-operation awaiters.
+/// The awaiter object lives in the suspended coroutine frame, so it is
+/// stable while the operation is pending -- and so is the interval it
+/// carries, which is why opening an operation allocates nothing.
+struct OpCompletion {
+  virtual ~OpCompletion() = default;
+  /// Decide the operation's outcome and apply any effect. `overlapped`
+  /// is true iff some other operation's interval intersected this one.
+  /// It may open the sub-task's next operation (World::begin_op, with
+  /// itself as that operation's completion): the coroutine then stays
+  /// suspended, and the new interval opens at this response step.
+  virtual void complete(World& world, const registers::OpContext& ctx,
+                        bool overlapped) = 0;
+  /// The owning process crashed while the operation was pending.
+  virtual void settle_crash(World& world, const registers::OpContext& ctx) = 0;
+
+  ActiveOp interval;
 };
 
 struct RegCellBase {
@@ -110,7 +116,8 @@ struct RegCellBase {
   Pid reader = kNoPid;
   registers::AbortPolicy* policy = nullptr;
 
-  std::vector<ActiveOp> active;
+  /// Open operations on this register, newest first.
+  ActiveOp* active = nullptr;
 
   // Per-register statistics (E5 / E6 benches read these).
   std::uint64_t n_reads = 0;
@@ -146,7 +153,6 @@ struct SubTask {
   /// every awaiter updates it on suspension.
   std::coroutine_handle<> resume_handle;
   RegCellBase* pending_cell = nullptr;
-  OpId pending_op = 0;
   bool pending_is_write = false;
   OpCompletion* pending_completion = nullptr;
 
@@ -165,10 +171,11 @@ struct ProcessState {
   bool crashed = false;
   Step steps = 0;  ///< local step count
   std::size_t rr = 0;
-  std::deque<SubTask> subtasks;
+  std::vector<SubTask> subtasks;
   /// Sub-tasks spawned while this process is mid-step; folded into
-  /// `subtasks` after the current resumption returns.
-  std::deque<SubTask> newborn;
+  /// `subtasks` after the current resumption returns, so the running
+  /// sub-task's slot in `subtasks` never moves under it.
+  std::vector<SubTask> newborn;
   /// Recipes of the root sub-tasks (spawned from outside any step);
   /// re-invoked by World::restart. Child sub-tasks spawned from inside
   /// coroutines are not recorded -- their parents re-create them.
@@ -403,8 +410,12 @@ class World final : public WorldView {
   }
 
   void advance(Pid p);
+  /// Append p's parked newborns to its sub-tasks, in spawn order.
+  void fold_newborn(detail::ProcessState& ps);
   void resume_subtask(detail::SubTask& st);
   void complete_pending(detail::SubTask& st);
+  /// Take `op` out of `cell`'s active list.
+  static void unlink_op(detail::RegCellBase* cell, detail::ActiveOp& op);
   void apply_due_faults();
   void boot_subtask(detail::ProcessState& ps, const std::string& name,
                     detail::SpawnFactory factory);
@@ -416,8 +427,11 @@ class World final : public WorldView {
   util::Counters counters_;
   util::Rng aux_rng_;
 
-  std::deque<detail::ProcessState> procs_;
-  std::vector<std::unique_ptr<SimEnv>> envs_;
+  /// Sized once by the constructor; never grows.
+  std::vector<detail::ProcessState> procs_;
+  /// One per process, built in the constructor at fixed addresses
+  /// (coroutines hold references to them).
+  std::vector<SimEnv> envs_;
   std::vector<std::unique_ptr<detail::RegCellBase>> cells_;
   std::vector<detail::PendingFault> pending_faults_;
   std::vector<StepObserver> step_observers_;
@@ -429,7 +443,6 @@ class World final : public WorldView {
   std::uint64_t total_read_aborts_ = 0;
   std::uint64_t total_write_aborts_ = 0;
 
-  OpId next_op_id_ = 1;
   Pid current_pid_ = kNoPid;
   Step current_step_ = 0;
   detail::SubTask* current_subtask_ = nullptr;

@@ -1,6 +1,6 @@
 #include "verify/explorer.hpp"
 
-#include <algorithm>
+#include <array>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -24,11 +24,28 @@ class ControlledSchedule final : public sim::Schedule {
   sim::Pid next_ = sim::kNoPid;
 };
 
-using AccessVec = std::vector<sim::StepAccess>;
+/// The register accesses of one step. A step completes at most one
+/// pending operation and opens at most one new one, so two slots hold
+/// every step's accesses and a copy never allocates.
+struct Accesses {
+  std::array<sim::StepAccess, 2> slot{};
+  std::uint8_t size = 0;
+
+  const sim::StepAccess* begin() const { return slot.data(); }
+  const sim::StepAccess* end() const { return slot.data() + size; }
+};
+
+Accesses last_accesses(const sim::World& world) {
+  const std::vector<sim::StepAccess>& touched = world.last_step_accesses();
+  TBWF_ASSERT(touched.size() <= 2, "a step made more than two accesses");
+  Accesses out;
+  for (const sim::StepAccess& a : touched) out.slot[out.size++] = a;
+  return out;
+}
 
 /// Two steps conflict iff they touch the same register, at least one
 /// writes, and neither access is inert (atomic invocation halves).
-bool steps_conflict(const AccessVec& a, const AccessVec& b) {
+bool steps_conflict(const Accesses& a, const Accesses& b) {
   for (const sim::StepAccess& x : a) {
     if (x.reg == sim::kInvalidReg || x.inert) continue;
     for (const sim::StepAccess& y : b) {
@@ -39,41 +56,69 @@ bool steps_conflict(const AccessVec& a, const AccessVec& b) {
   return false;
 }
 
+/// Sleep sets and visit records hold pids as bits of one word.
+using PidMask = std::uint64_t;
+
+PidMask bit(sim::Pid p) { return PidMask{1} << p; }
+
+/// One enabled pid of a node and, once explored, the accesses of the
+/// step it took there.
+struct Choice {
+  sim::Pid pid = sim::kNoPid;
+  bool explored = false;
+  Accesses accesses;
+};
+
 /// A sleeping pid, with the accesses of the step it would take (valid
 /// while it sleeps: a process that takes no step cannot change its next
 /// action).
 struct SleepEntry {
   sim::Pid pid = sim::kNoPid;
-  AccessVec accesses;
+  Accesses accesses;
 };
 
 struct Node {
-  std::vector<sim::Pid> enabled;
-  std::size_t next_choice = 0;            ///< next enabled index to try
-  std::vector<bool> explored;             ///< parallel to enabled
-  std::vector<AccessVec> explored_accesses;
+  std::vector<Choice> choices;            ///< enabled pids, ascending
+  PidMask enabled = 0;                    ///< the pids in `choices`
+  std::size_t next_choice = 0;            ///< next choice to try
   std::vector<SleepEntry> sleep;
+  PidMask sleeping = 0;                   ///< the pids in `sleep`
   int preemptions = 0;                    ///< along the prefix to here
 };
 
-bool is_sleeping(const Node& node, sim::Pid p) {
-  for (const SleepEntry& e : node.sleep) {
-    if (e.pid == p) return true;
-  }
-  return false;
-}
+/// The DFS stack. A popped node keeps its vectors' capacity for the
+/// next push at its depth, so the search stops allocating nodes once it
+/// has reached its deepest path.
+class NodeStack {
+ public:
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  Node& operator[](std::size_t i) { return nodes_[i]; }
+  Node& back() { return nodes_[size_ - 1]; }
+  void pop_back() { --size_; }
 
-bool contains(const std::vector<sim::Pid>& pids, sim::Pid p) {
-  return std::find(pids.begin(), pids.end(), p) != pids.end();
-}
-
-std::vector<sim::Pid> enabled_pids(const sim::World& world) {
-  std::vector<sim::Pid> out;
-  for (sim::Pid p = 0; p < world.n(); ++p) {
-    if (world.runnable(p)) out.push_back(p);
+  /// A cleared node on top: its enabled pids taken from `world`.
+  Node& push(const sim::World& world, int preemptions) {
+    if (size_ == nodes_.size()) nodes_.emplace_back();
+    Node& node = nodes_[size_++];
+    node.choices.clear();
+    node.enabled = 0;
+    for (sim::Pid p = 0; p < world.n(); ++p) {
+      if (!world.runnable(p)) continue;
+      node.choices.push_back(Choice{p, false, {}});
+      node.enabled |= bit(p);
+    }
+    node.next_choice = 0;
+    node.sleep.clear();
+    node.sleeping = 0;
+    node.preemptions = preemptions;
+    return node;
   }
-  return out;
-}
+
+ private:
+  std::vector<Node> nodes_;
+  std::size_t size_ = 0;
+};
 
 std::uint64_t node_fingerprint(const ExploredRun& run, sim::World& world) {
   std::uint64_t h = run.fingerprint();
@@ -87,15 +132,15 @@ std::uint64_t node_fingerprint(const ExploredRun& run, sim::World& world) {
 /// true iff an untried viable choice remains (at node.next_choice).
 bool advance_to_viable(Node& node, sim::Pid prev,
                        const ExplorerOptions& options, ExploreStats& stats) {
-  while (node.next_choice < node.enabled.size()) {
-    const sim::Pid cand = node.enabled[node.next_choice];
-    if (options.sleep_sets && is_sleeping(node, cand)) {
+  while (node.next_choice < node.choices.size()) {
+    const sim::Pid cand = node.choices[node.next_choice].pid;
+    if (options.sleep_sets && (node.sleeping & bit(cand)) != 0) {
       ++stats.sleep_skips;
       ++node.next_choice;
       continue;
     }
-    const bool preempt =
-        prev != sim::kNoPid && cand != prev && contains(node.enabled, prev);
+    const bool preempt = prev != sim::kNoPid && cand != prev &&
+                         (node.enabled & bit(prev)) != 0;
     if (options.max_preemptions >= 0 && preempt &&
         node.preemptions + 1 > options.max_preemptions) {
       ++stats.preemption_skips;
@@ -107,15 +152,6 @@ bool advance_to_viable(Node& node, sim::Pid prev,
   return false;
 }
 
-Node make_node(const sim::World& world, int preemptions) {
-  Node node;
-  node.enabled = enabled_pids(world);
-  node.explored.assign(node.enabled.size(), false);
-  node.explored_accesses.resize(node.enabled.size());
-  node.preemptions = preemptions;
-  return node;
-}
-
 /// One prior expansion of a visited state: how much depth remained and
 /// under which sleep set it was explored. Caching sleep-set-restricted
 /// expansions by fingerprint alone is unsound (Godefroid): a revisit
@@ -123,27 +159,16 @@ Node make_node(const sim::World& world, int preemptions) {
 /// pruning it against a more-restricted earlier visit can hide real
 /// interleavings (a dropped-fence queue mutation escaped exactly this
 /// way). A revisit may only be pruned against a visit that was at
-/// least as deep AND at least as permissive.
+/// least as deep AND at least as permissive. A sleeping pid's pending
+/// accesses are a function of the state, so comparing pid sets is
+/// enough under equal fingerprints.
 struct VisitEntry {
   std::size_t remaining = 0;
-  std::vector<sim::Pid> sleep;  ///< sorted sleeping pids at expansion
+  PidMask sleep = 0;  ///< sleeping pids at expansion
 };
 
-std::vector<sim::Pid> sleep_pids(const Node& node) {
-  std::vector<sim::Pid> out;
-  out.reserve(node.sleep.size());
-  for (const SleepEntry& e : node.sleep) out.push_back(e.pid);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-/// a subseteq b, both sorted. A sleeping pid's pending accesses are a
-/// function of the state, so comparing pid sets is enough under equal
-/// fingerprints.
-bool sleep_subset(const std::vector<sim::Pid>& a,
-                  const std::vector<sim::Pid>& b) {
-  return std::includes(b.begin(), b.end(), a.begin(), a.end());
-}
+/// a subseteq b.
+bool sleep_subset(PidMask a, PidMask b) { return (a & ~b) == 0; }
 
 }  // namespace
 
@@ -157,7 +182,7 @@ ExploreResult Explorer::explore() {
   ExploreStats& stats = result.stats;
 
   // stack[i] = node after i steps; path[i] = pid taken from stack[i].
-  std::vector<Node> stack;
+  NodeStack stack;
   std::vector<sim::Pid> path;
   // fingerprint -> prior expansions (remaining depth + sleep set each).
   std::unordered_map<std::uint64_t, std::vector<VisitEntry>> visited;
@@ -172,6 +197,7 @@ ExploreResult Explorer::explore() {
     ControlledSchedule* ctl = schedule.get();
     std::unique_ptr<ExploredRun> run = factory_(std::move(schedule));
     sim::World& world = run->world();
+    TBWF_ASSERT(world.n() <= 64, "sleep sets hold at most 64 pids");
 
     // Replay the committed prefix (deterministic: same seed, same pids).
     for (const sim::Pid p : path) {
@@ -182,50 +208,56 @@ ExploreResult Explorer::explore() {
     }
 
     if (stack.empty()) {
-      stack.push_back(make_node(world, 0));
+      stack.push(world, 0);
       if (options_.state_pruning) {
         visited[node_fingerprint(*run, world)].push_back(
-            VisitEntry{options_.max_depth, {}});
+            VisitEntry{options_.max_depth, 0});
       }
     }
 
     // Extend first-viable-choice until a leaf.
     while (path.size() < options_.max_depth) {
-      Node& node = stack.back();
+      const std::size_t depth = stack.size() - 1;
+      Node& node = stack[depth];
       const sim::Pid prev = path.empty() ? sim::kNoPid : path.back();
       if (!advance_to_viable(node, prev, options_, stats)) break;
 
       const std::size_t ci = node.next_choice;
-      const sim::Pid p = node.enabled[ci];
-      const bool preempt =
-          prev != sim::kNoPid && p != prev && contains(node.enabled, prev);
+      const sim::Pid p = node.choices[ci].pid;
+      const bool preempt = prev != sim::kNoPid && p != prev &&
+                           (node.enabled & bit(prev)) != 0;
 
       ctl->set(p);
       const bool ok = world.step();
       TBWF_ASSERT(ok, "explorer step rejected");
       ++stats.steps;
 
-      AccessVec accesses = world.last_step_accesses();
-      node.explored[ci] = true;
-      node.explored_accesses[ci] = accesses;
+      const Accesses accesses = last_accesses(world);
+      node.choices[ci].explored = true;
+      node.choices[ci].accesses = accesses;
       ++node.next_choice;
       path.push_back(p);
 
-      Node child = make_node(world, node.preemptions + (preempt ? 1 : 0));
+      // The push may move the nodes; re-take the parent by index.
+      Node& child =
+          stack.push(world, node.preemptions + (preempt ? 1 : 0));
+      const Node& parent = stack[depth];
       if (options_.sleep_sets) {
         // Inherit sleepers that don't conflict with the step just taken,
         // and put already-explored independent siblings to sleep.
-        for (const SleepEntry& e : node.sleep) {
+        for (const SleepEntry& e : parent.sleep) {
           if (e.pid != p && !steps_conflict(e.accesses, accesses)) {
             child.sleep.push_back(e);
+            child.sleeping |= bit(e.pid);
           }
         }
-        for (std::size_t j = 0; j < node.enabled.size(); ++j) {
-          if (j == ci || !node.explored[j]) continue;
-          const sim::Pid q = node.enabled[j];
-          if (q != p && !is_sleeping(child, q) &&
-              !steps_conflict(node.explored_accesses[j], accesses)) {
-            child.sleep.push_back(SleepEntry{q, node.explored_accesses[j]});
+        for (std::size_t j = 0; j < parent.choices.size(); ++j) {
+          const Choice& c = parent.choices[j];
+          if (j == ci || !c.explored) continue;
+          if (c.pid != p && (child.sleeping & bit(c.pid)) == 0 &&
+              !steps_conflict(c.accesses, accesses)) {
+            child.sleep.push_back(SleepEntry{c.pid, c.accesses});
+            child.sleeping |= bit(c.pid);
           }
         }
       }
@@ -234,7 +266,7 @@ ExploreResult Explorer::explore() {
       if (options_.state_pruning) {
         const std::uint64_t fp = node_fingerprint(*run, world);
         const std::size_t remaining = options_.max_depth - path.size();
-        const std::vector<sim::Pid> sleepers = sleep_pids(child);
+        const PidMask sleepers = child.sleeping;
         std::vector<VisitEntry>& entries = visited[fp];
         for (const VisitEntry& e : entries) {
           if (e.remaining >= remaining && sleep_subset(e.sleep, sleepers)) {
@@ -255,10 +287,9 @@ ExploreResult Explorer::explore() {
       if (pruned) {
         // Treat as an exhausted leaf: the earlier visit explored at
         // least this much depth below the same state.
-        child.next_choice = child.enabled.size();
+        child.next_choice = child.choices.size();
+        break;
       }
-      stack.push_back(std::move(child));
-      if (pruned) break;
     }
 
     // One complete run: grade it.

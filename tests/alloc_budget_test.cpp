@@ -5,9 +5,12 @@
 // simulated QA step allocates is paid hundreds of thousands of times per
 // exploration. This binary replaces the global operator new with a
 // counting one and holds the canonical n = 3 QA counter exploration to a
-// fixed number of allocations per schedule (about 177 are needed). A
-// record copy, register op or read pass that starts allocating again
-// breaks the budget long before it shows as noise in the benchmark.
+// fixed number of allocations per schedule. About 75 are needed:
+// building the run, the protocol's coroutine frames and new states, the
+// history and the oracle. The kernel's share of a step and the
+// explorer's nodes allocate nothing. A record copy, register op, read
+// pass or explorer node that starts allocating again breaks the budget
+// long before it shows as noise in the benchmark.
 //
 // The QA construction shares decided states by pointer: a solo
 // RtTbwfObject op builds one new state (a copy of the frontier with the
@@ -61,7 +64,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace tbwf::verify {
 namespace {
 
-constexpr double kAllocationsPerSchedule = 250;
+constexpr double kAllocationsPerSchedule = 82;
 
 TEST(AllocBudget, ExploredQaCounterScheduleStaysWithinBudget) {
 #ifdef TBWF_UNDER_SANITIZER

@@ -311,7 +311,6 @@ OpContext ctx_at(sim::Step t, bool is_write) {
   ctx.is_write = is_write;
   ctx.invoked_at = t > 0 ? t - 1 : 0;
   ctx.responded_at = t;
-  ctx.overlap_pids = {1};
   ctx.any_overlap_write = true;
   return ctx;
 }

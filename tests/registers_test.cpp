@@ -22,12 +22,10 @@ using sim::Task;
 using sim::World;
 using I64 = std::int64_t;
 
-registers::OpContext make_ctx(Pid pid, bool is_write,
-                              std::vector<Pid> overlaps) {
+registers::OpContext make_ctx(Pid pid, bool is_write) {
   registers::OpContext ctx;
   ctx.pid = pid;
   ctx.is_write = is_write;
-  ctx.overlap_pids = std::move(overlaps);
   return ctx;
 }
 
@@ -35,25 +33,25 @@ registers::OpContext make_ctx(Pid pid, bool is_write,
 
 TEST(AbortPolicy, NeverAbortAlwaysSucceeds) {
   registers::NeverAbortPolicy p;
-  EXPECT_EQ(p.on_contended_read(make_ctx(0, false, {1})),
+  EXPECT_EQ(p.on_contended_read(make_ctx(0, false)),
             registers::ReadOutcome::Success);
-  EXPECT_EQ(p.on_contended_write(make_ctx(0, true, {1})),
+  EXPECT_EQ(p.on_contended_write(make_ctx(0, true)),
             registers::WriteOutcome::Success);
 }
 
 TEST(AbortPolicy, AlwaysAbortAborts) {
   registers::AlwaysAbortPolicy p(registers::AlwaysAbortPolicy::Effect::Never);
-  EXPECT_EQ(p.on_contended_read(make_ctx(0, false, {1})),
+  EXPECT_EQ(p.on_contended_read(make_ctx(0, false)),
             registers::ReadOutcome::Abort);
-  EXPECT_EQ(p.on_contended_write(make_ctx(0, true, {1})),
+  EXPECT_EQ(p.on_contended_write(make_ctx(0, true)),
             registers::WriteOutcome::AbortNoEffect);
 }
 
 TEST(AbortPolicy, AlwaysAbortAlternateFlipsEffect) {
   registers::AlwaysAbortPolicy p(
       registers::AlwaysAbortPolicy::Effect::Alternate);
-  const auto a = p.on_contended_write(make_ctx(0, true, {1}));
-  const auto b = p.on_contended_write(make_ctx(0, true, {1}));
+  const auto a = p.on_contended_write(make_ctx(0, true));
+  const auto b = p.on_contended_write(make_ctx(0, true));
   EXPECT_NE(a, b);
   EXPECT_TRUE(a == registers::WriteOutcome::AbortWithEffect ||
               b == registers::WriteOutcome::AbortWithEffect);
@@ -66,11 +64,11 @@ TEST(AbortPolicy, ProbabilisticRatesRoughlyCalibrated) {
   int read_aborts = 0, write_aborts = 0;
   const int trials = 20000;
   for (int i = 0; i < trials; ++i) {
-    if (p.on_contended_read(make_ctx(0, false, {1})) ==
+    if (p.on_contended_read(make_ctx(0, false)) ==
         registers::ReadOutcome::Abort) {
       ++read_aborts;
     }
-    if (p.on_contended_write(make_ctx(0, true, {1})) !=
+    if (p.on_contended_write(make_ctx(0, true)) !=
         registers::WriteOutcome::Success) {
       ++write_aborts;
     }
@@ -81,13 +79,13 @@ TEST(AbortPolicy, ProbabilisticRatesRoughlyCalibrated) {
 
 TEST(AbortPolicy, TargetedHitsOnlyVictims) {
   registers::TargetedAbortPolicy p({2, 4});
-  EXPECT_EQ(p.on_contended_read(make_ctx(2, false, {0})),
+  EXPECT_EQ(p.on_contended_read(make_ctx(2, false)),
             registers::ReadOutcome::Abort);
-  EXPECT_EQ(p.on_contended_read(make_ctx(3, false, {0})),
+  EXPECT_EQ(p.on_contended_read(make_ctx(3, false)),
             registers::ReadOutcome::Success);
-  EXPECT_EQ(p.on_contended_write(make_ctx(4, true, {0})),
+  EXPECT_EQ(p.on_contended_write(make_ctx(4, true)),
             registers::WriteOutcome::AbortNoEffect);
-  EXPECT_EQ(p.on_contended_write(make_ctx(0, true, {2})),
+  EXPECT_EQ(p.on_contended_write(make_ctx(0, true)),
             registers::WriteOutcome::Success);
 }
 

@@ -5,9 +5,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 
 #include <gtest/gtest.h>
 
+#include "rt/rt_registers.hpp"
 #include "rt/rt_tbwf.hpp"
 
 namespace tbwf::rt {
@@ -197,6 +199,46 @@ TEST(LeaseElectorFenceTest, RevokeOfANonHolderIsANoOp) {
   EXPECT_EQ(e.owner(), 1u);
   EXPECT_EQ(e.fence(), fence_before);
   EXPECT_TRUE(e.validate(1, t1));
+}
+
+// RtTbwfCounter's leader step replayed by hand on the synthetic clock:
+// read the count, then write it plus one under a guard that validates
+// the lease once the cell is held. A leader descheduled between its read
+// and its write must not overwrite its successor's increment.
+TEST(LeaseElectorFenceTest, GuardedWriteRefusesAFormerLeader) {
+  LeaseElector e = make_elector(10000);
+  RtAbortableReg<std::int64_t> cell(0);
+  const auto lease = [&e](std::uint32_t tid, std::uint64_t token) {
+    return [&e, tid, token] { return e.validate(tid, token); };
+  };
+
+  // Thread 1 leads and reads the count, then sleeps through its term.
+  std::uint64_t t1 = 0;
+  ASSERT_TRUE(e.try_lead(1, &t1));
+  const std::optional<std::int64_t> seen1 = cell.read();
+  ASSERT_TRUE(seen1.has_value());
+  g_fake_now.fetch_add(50000);
+
+  // Thread 2 takes the lease over and increments.
+  std::uint64_t t2 = 0;
+  ASSERT_TRUE(e.try_lead(2, &t2));
+  const std::optional<std::int64_t> seen2 = cell.read();
+  ASSERT_TRUE(seen2.has_value());
+  ASSERT_EQ(cell.write_if(*seen2 + 1, lease(2, t2)), GuardedWrite::Written);
+  e.release(2);
+
+  // Thread 1 wakes up holding a count from before thread 2's increment.
+  // Unguarded, its write would erase that increment; the guard refuses.
+  EXPECT_EQ(cell.write_if(*seen1 + 1, lease(1, t1)), GuardedWrite::Refused);
+  EXPECT_EQ(cell.read(), 1);
+
+  // Re-elected, it re-reads and lands its increment on top.
+  std::uint64_t t1b = 0;
+  ASSERT_TRUE(e.try_lead(1, &t1b));
+  const std::optional<std::int64_t> again = cell.read();
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(cell.write_if(*again + 1, lease(1, t1b)), GuardedWrite::Written);
+  EXPECT_EQ(cell.read(), 2);  // both increments, each exactly once
 }
 
 // -- the adaptive calibrator -------------------------------------------------

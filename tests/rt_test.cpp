@@ -107,6 +107,29 @@ TEST(RtAbortableReg, ReadIntoUnchangedCellTouchesNoCount) {
   EXPECT_EQ(b.use_count(), b_uses);
 }
 
+TEST(RtAbortableReg, WriteIfRunsItsGuardUnderTheCell) {
+  RtAbortableReg<int> reg(1);
+  // The guard said no: nothing is written.
+  EXPECT_EQ(reg.write_if(2, [] { return false; }), GuardedWrite::Refused);
+  EXPECT_EQ(reg.read(), 1);
+  // The guard runs while the cell is held, so an operation from inside
+  // it finds the cell busy: a write aborts without consulting its guard.
+  bool inner_consulted = false;
+  GuardedWrite inner = GuardedWrite::Written;
+  EXPECT_EQ(reg.write_if(3,
+                         [&] {
+                           inner = reg.write_if(4, [&] {
+                             inner_consulted = true;
+                             return true;
+                           });
+                           return true;
+                         }),
+            GuardedWrite::Written);
+  EXPECT_EQ(inner, GuardedWrite::Aborted);
+  EXPECT_FALSE(inner_consulted);
+  EXPECT_EQ(reg.read(), 3);
+}
+
 /// Counts its copies; moves are free.
 struct CopyCounted {
   int v = 0;

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "sim/env.hpp"
 #include "sim/schedule.hpp"
@@ -175,6 +177,81 @@ TEST(WorldEdge, CapturingCoroutineLambdasOutliveTheirSpawnCalls) {
   world.run(20);
   EXPECT_GT(root_steps, root_before);
   EXPECT_GT(child_steps, child_before);
+}
+
+// -- sub-task round-robin order ------------------------------------------------
+//
+// Each granted step of a process advances one of its sub-tasks, in
+// round-robin order. These pin that order where the sub-task list
+// changes: children spawned mid-step, a spawn into another process from
+// inside a step, and the re-boot after a crash.
+
+/// Appends `tag` to `log` on every step it is granted.
+Task tagged(SimEnv& env, std::vector<std::string>& log, std::string tag) {
+  for (;;) {
+    log.push_back(tag);
+    co_await env.yield();
+  }
+}
+
+/// Spawns children "a" and "b" on its own process from inside its
+/// first step, then behaves like tagged(log, "R").
+Task parent_of_two(SimEnv& env, std::vector<std::string>& log) {
+  log.push_back("R");
+  env.spawn("a", [&log](SimEnv& e) { return tagged(e, log, "a"); });
+  env.spawn("b", [&log](SimEnv& e) { return tagged(e, log, "b"); });
+  for (;;) {
+    co_await env.yield();
+    log.push_back("R");
+  }
+}
+
+/// Spawns "c" on process 1 from inside its first step, then behaves
+/// like tagged(log, "x").
+Task spawn_on_peer(SimEnv& env, std::vector<std::string>& log) {
+  env.world().spawn(1, "c", [&log](SimEnv& e) { return tagged(e, log, "c"); });
+  for (;;) {
+    log.push_back("x");
+    co_await env.yield();
+  }
+}
+
+using Log = std::vector<std::string>;
+
+TEST(WorldEdge, SubTaskRoundRobinOrderIsPinned) {
+  {
+    SCOPED_TRACE("children spawned mid-step join after the step");
+    Log log;
+    World world(1, std::make_unique<RoundRobinSchedule>());
+    world.spawn(0, "R", [&log](SimEnv& e) { return parent_of_two(e, log); });
+    world.run(7);
+    EXPECT_EQ(log, (Log{"R", "R", "a", "b", "R", "a", "b"}));
+  }
+  {
+    SCOPED_TRACE("a spawn into another process joins its current round");
+    Log log;
+    World world(2, std::make_unique<ScriptedSchedule>(
+                       std::vector<Pid>{1, 0, 1, 1, 1, 1, 1}));
+    world.spawn(0, "x", [&log](SimEnv& e) { return spawn_on_peer(e, log); });
+    world.spawn(1, "P", [&log](SimEnv& e) { return tagged(e, log, "P"); });
+    world.spawn(1, "Q", [&log](SimEnv& e) { return tagged(e, log, "Q"); });
+    world.run(7);
+    EXPECT_EQ(log, (Log{"P", "x", "Q", "c", "P", "Q", "c"}));
+  }
+  {
+    SCOPED_TRACE("a restart re-boots the roots and restarts the round");
+    Log log;
+    World world(1, std::make_unique<RoundRobinSchedule>());
+    world.spawn(0, "R", [&log](SimEnv& e) { return parent_of_two(e, log); });
+    world.spawn(0, "S", [&log](SimEnv& e) { return tagged(e, log, "S"); });
+    world.run(3);
+    EXPECT_EQ(log, (Log{"R", "S", "a"}));
+    world.crash(0);
+    world.restart(0);
+    log.clear();
+    world.run(5);
+    EXPECT_EQ(log, (Log{"R", "S", "a", "b", "R"}));
+  }
 }
 
 // -- assertion behaviour -----------------------------------------------------------

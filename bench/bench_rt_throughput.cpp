@@ -217,6 +217,11 @@ BENCHMARK(BM_BatchedQaCounter)->Threads(1)->Threads(2)->Threads(4)
     ->Threads(8)->UseRealTime();
 
 int main(int argc, char** argv) {
+  // Until a process has started a thread, libstdc++'s shared_ptr counts
+  // and glibc's allocator take single-threaded fast paths. Every row, the
+  // first threads:1 one and any filtered run included, must time the
+  // threaded program.
+  std::thread([] {}).join();
   return tbwf::bench::run_gbench_with_json(
       argc, argv, "rt_throughput",
       // Both per-op QA constructions are the "before" side of E19:

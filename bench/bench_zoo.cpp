@@ -8,7 +8,8 @@
 //    fixed deterministic step budget, identical seed and workload for
 //    every engine -- the ratio IS the universality tax in model steps;
 //  * rt rows (informational, unit "ops/s"): wall-clock throughput of
-//    the same object/engine matrix on real threads -- noisy on shared
+//    the same object/engine matrix on real threads, each specialist
+//    being its sim coroutine run through rt::RtFront -- noisy on shared
 //    runners, so the gate checks the rows exist but not their values;
 //  * tax rows (informational, unit "x"): specialist / engine ratio per
 //    object and backend.
@@ -28,7 +29,6 @@
 #include "sim/schedule.hpp"
 #include "sim/world.hpp"
 #include "zoo/ledger.hpp"
-#include "zoo/rt_zoo.hpp"
 #include "zoo/snapshot.hpp"
 #include "zoo/turn_queue.hpp"
 #include "zoo/zoo_harness.hpp"
@@ -107,10 +107,10 @@ struct SimPoint {
 SimPoint sim_snapshot() {
   SimPoint pt;
   const auto op = [](sim::Pid p, std::uint64_t k) { return snapshot_op(p, k); };
-  pt.specialist = sim_ok_ops<SnapshotType, WfSnapshot>(
+  pt.specialist = sim_ok_ops<SnapshotType, WfSnapshot<>>(
       kSimN,
       [](sim::World& w) {
-        return std::make_unique<WfSnapshot>(w, SnapshotType::initial(w.n()));
+        return std::make_unique<WfSnapshot<>>(w, SnapshotType::initial(w.n()));
       },
       op);
   pt.universal = sim_ok_ops<SnapshotType, UniversalZoo<SnapshotType>>(
@@ -159,10 +159,10 @@ SimPoint sim_ledger() {
   const auto op = [](sim::Pid p, std::uint64_t k) {
     return ledger_op(p, k, kSimN);
   };
-  pt.specialist = sim_ok_ops<LedgerType, WfLedger>(
+  pt.specialist = sim_ok_ops<LedgerType, WfLedger<>>(
       kSimN,
       [](sim::World& w) {
-        return std::make_unique<WfLedger>(w, LedgerType::State{});
+        return std::make_unique<WfLedger<>>(w, LedgerType::State{});
       },
       op);
   pt.universal = sim_ok_ops<LedgerType, UniversalZoo<LedgerType>>(
@@ -243,7 +243,8 @@ RtPoint rt_snapshot() {
   RtPoint pt;
   const auto op = [](int tid, std::uint64_t k) { return snapshot_op(tid, k); };
   {
-    RtZooSnapshot obj(kRtThreads, SnapshotType::initial(kRtThreads));
+    rt::RtFront<WfSnapshot<rt::RtBase>> obj(kRtThreads,
+                                           SnapshotType::initial(kRtThreads));
     pt.specialist = rt_ok_ops_per_sec(obj, op, "snap/spec");
   }
   {
@@ -263,7 +264,7 @@ RtPoint rt_queue() {
   RtPoint pt;
   const auto op = [](int tid, std::uint64_t k) { return queue_op(tid, k); };
   {
-    RtZooQueue<kCap> obj(kRtThreads);
+    rt::RtFront<TurnQueue<kCap, rt::RtBase>> obj(kRtThreads, Queue::State{});
     pt.specialist = rt_ok_ops_per_sec(obj, op, "queue/spec");
   }
   {
@@ -283,7 +284,7 @@ RtPoint rt_ledger() {
     return ledger_op(tid, k, kRtThreads);
   };
   {
-    RtZooLedger obj(kRtThreads, LedgerType::State{});
+    rt::RtFront<WfLedger<rt::RtBase>> obj(kRtThreads, LedgerType::State{});
     pt.specialist = rt_ok_ops_per_sec(obj, op, "ledger/spec");
   }
   {

@@ -88,8 +88,10 @@ namespace tbwf::qa {
 //
 // A policy supplies the register handle type Reg<Rec>, the process
 // environment Env (pid(), now()), the owner of the registers Home
-// (n(home), make, a non-step peek), and the awaitable register
-// operations: read, write and one read pass over all records.
+// (n(home), make, a non-step peek), and the awaitables: read, write,
+// one read pass over all records, and a local step (yield). The zoo
+// specialists (zoo/snapshot.hpp, turn_queue.hpp, ledger.hpp) are
+// written over the same policies.
 // ---------------------------------------------------------------------------
 
 /// What both simulator policies share: the World as home, SimEnv as
@@ -97,8 +99,14 @@ namespace tbwf::qa {
 struct SimBase {
   using Env = sim::SimEnv;
   using Home = sim::World;
+  /// The schedule explorer fingerprints objects on these registers, so
+  /// objects keep the bookkeeping a fingerprint needs.
+  static constexpr bool kExplored = true;
 
   static int n(const Home& world) { return world.n(); }
+
+  /// One local step (the paper's "skip").
+  static sim::detail::YieldOp yield(Env& env) { return env.yield(); }
 
   /// Non-step introspection of a register's content.
   template <class Rec, class Reg>
@@ -533,12 +541,13 @@ class QaUniversal {
   }
 
   /// Write a copy of local_[p].mine, the record p wants visible, to p's
-  /// register. The returned awaiter yields false iff an abortable base
-  /// write aborted.
+  /// register. The copy is an rvalue, so on threads the record it
+  /// displaces dies outside the cell. The returned awaiter yields false
+  /// iff an abortable base write aborted.
   auto publish(Env& env, sim::Pid p) {
     Local& me = local_[p];
     ++me.publishes;
-    return Base::template write<Record>(env, regs_[p], me.mine);
+    return Base::template write<Record>(env, regs_[p], Record(me.mine));
   }
 
   /// Up to `attempts` slot attempts for `proposal`, continuing only

@@ -6,7 +6,9 @@
 // try-lock abortable registers (RtAbortableReg) whose awaiters have
 // already done their operation when the coroutine awaits them, so
 // Co::run_inline() completes every operation on the calling thread with
-// no scheduler. RtQaUniversal is the front that threads call by id.
+// no scheduler. RtFront is the front that threads call by id;
+// RtQaUniversal is it over qa::QaUniversal, and the zoo specialists
+// (zoo/snapshot.hpp, turn_queue.hpp, ledger.hpp) run through it too.
 //
 // A base-register abort -- the cell was busy -- simply aborts the
 // attempt, exactly like the simulator's AbortableBase. Solo operations
@@ -62,6 +64,8 @@ struct RtBase {
   struct Home {
     int n = 0;
   };
+  /// No explorer fingerprints a threaded run.
+  static constexpr bool kExplored = false;
 
   /// The result of an operation that completed before the await.
   template <class T>
@@ -74,6 +78,9 @@ struct RtBase {
 
   static int n(const Home& home) { return home.n; }
 
+  /// A local step costs nothing on threads.
+  static std::suspend_never yield(Env&) { return {}; }
+
   template <class Rec>
   static Reg<Rec> make(Home&, const std::string& /*name*/, Rec init,
                        registers::AbortPolicy*, sim::Pid /*writer*/) {
@@ -83,11 +90,18 @@ struct RtBase {
   static Done<std::optional<Rec>> read(Env&, const Reg<Rec>& r) {
     return {r->read()};
   }
-  /// Sink write: the record it displaces, possibly the last holder of a
-  /// state, dies after the cell is released.
+  /// Sink write of an rvalue: the record it displaces, possibly the last
+  /// holder of a state, dies after the cell is released.
   template <class Rec>
-  static Done<bool> write(Env&, const Reg<Rec>& r, Rec v) {
+  static Done<bool> write(Env&, const Reg<Rec>& r, Rec&& v) {
     return {r->write(std::move(v))};
+  }
+  /// Write of an lvalue: it is copied into the storage of the record it
+  /// displaces, so buffers that fit are reused, and the caller keeps it
+  /// (a zoo specialist parks it if the write aborts).
+  template <class Rec>
+  static Done<bool> write(Env&, const Reg<Rec>& r, const Rec& v) {
+    return {r->write(v)};
   }
   /// Retries until the cell is free. For quiescent introspection only:
   /// under contention it spins.
@@ -112,27 +126,26 @@ struct RtBase {
   }
 };
 
-/// qa::QaUniversal on threads: thread `tid` drives process `tid`, and
-/// each call runs one operation to completion inline.
-template <qa::Sequential S>
-class RtQaUniversal {
+/// A coroutine object written over a base-register policy, run on
+/// threads: `Inner` is instantiated on RtBase, thread `tid` drives
+/// process `tid`, and each call runs one operation to completion inline.
+/// RtQaUniversal adds the QA construction's frontier accessors; the zoo
+/// specialists run through this front as they are.
+template <class Inner>
+class RtFront {
  public:
-  using Inner = qa::QaUniversal<S, RtBase>;
-  using State = typename S::State;
-  using Op = typename S::Op;
-  using Result = typename S::Result;
+  using State = typename Inner::State;
+  using Op = typename Inner::Op;
   using Response = typename Inner::Response;
-  using StateRec = typename Inner::StateRec;
-  using StatePtr = typename Inner::StatePtr;
   using Tid = std::uint32_t;
 
-  RtQaUniversal(int nthreads, State initial)
+  RtFront(int nthreads, State initial)
       : home_{nthreads}, inner_(home_, std::move(initial)) {
     TBWF_ASSERT(nthreads >= 1, "need at least one thread");
   }
   /// inner_ refers to home_.
-  RtQaUniversal(const RtQaUniversal&) = delete;
-  RtQaUniversal& operator=(const RtQaUniversal&) = delete;
+  RtFront(const RtFront&) = delete;
+  RtFront& operator=(const RtFront&) = delete;
 
   /// Apply `op`; returns bottom under contention. Called by thread
   /// `tid` only (each tid must be driven by a single thread).
@@ -147,28 +160,9 @@ class RtQaUniversal {
     return inner_.query(env).run_inline();
   }
 
-  /// One try-lock read pass over all records: the decided frontier as
-  /// currently visible to `tid` (null if a base read aborted).
-  /// Refreshes tid's local decided cache. Called by tid's thread only.
-  StatePtr read_frontier(Tid tid) {
-    RtEnv env{pid_of(tid)};
-    return inner_.read_frontier(env).run_inline();
-  }
-
-  /// The highest decided record tid itself has observed. Called by
-  /// tid's thread only (per-thread slice, no synchronization).
-  const StatePtr& local_decided(Tid tid) const {
-    return inner_.local_decided(pid_of(tid));
-  }
-
-  /// Snapshot of the decided frontier. Reads every thread's local cache,
-  /// so call it only while no thread is operating (before the workers
-  /// start or after they are joined).
-  StateRec frontier_snapshot() const { return inner_.peek_frontier(); }
-
   int n() const { return inner_.n(); }
 
- private:
+ protected:
   sim::Pid pid_of(Tid tid) const {
     TBWF_ASSERT(tid < static_cast<Tid>(inner_.n()), "tid out of range");
     return static_cast<sim::Pid>(tid);
@@ -176,6 +170,40 @@ class RtQaUniversal {
 
   RtBase::Home home_;
   Inner inner_;
+};
+
+/// qa::QaUniversal on threads.
+template <qa::Sequential S>
+class RtQaUniversal : public RtFront<qa::QaUniversal<S, RtBase>> {
+  using Front = RtFront<qa::QaUniversal<S, RtBase>>;
+
+ public:
+  using Inner = qa::QaUniversal<S, RtBase>;
+  using Result = typename S::Result;
+  using StateRec = typename Inner::StateRec;
+  using StatePtr = typename Inner::StatePtr;
+  using typename Front::Tid;
+
+  using Front::Front;
+
+  /// One try-lock read pass over all records: the decided frontier as
+  /// currently visible to `tid` (null if a base read aborted).
+  /// Refreshes tid's local decided cache. Called by tid's thread only.
+  StatePtr read_frontier(Tid tid) {
+    RtEnv env{this->pid_of(tid)};
+    return this->inner_.read_frontier(env).run_inline();
+  }
+
+  /// The highest decided record tid itself has observed. Called by
+  /// tid's thread only (per-thread slice, no synchronization).
+  const StatePtr& local_decided(Tid tid) const {
+    return this->inner_.local_decided(this->pid_of(tid));
+  }
+
+  /// Snapshot of the decided frontier. Reads every thread's local cache,
+  /// so call it only while no thread is operating (before the workers
+  /// start or after they are joined).
+  StateRec frontier_snapshot() const { return this->inner_.peek_frontier(); }
 };
 
 }  // namespace tbwf::rt

@@ -4,9 +4,10 @@
 // controls steps, timeliness and abort adversaries exactly. This rt
 // backend exists for the wall-clock benchmarks (E11): it shows the
 // practical cost profile on real threads. The QA universal construction
-// runs here as the very coroutine the explorer checks (rt_qa.hpp's
-// RtBase policy puts its records in these registers); the remaining rt
-// protocols are still hand ports of their sim twins.
+// and the zoo specialists run here as the very coroutines the explorer
+// checks (rt_qa.hpp's RtBase policy puts their records in these
+// registers); the batched engine and the lease leader are still hand
+// ports of their sim twins.
 //
 // RtAbortableReg implements the abortable-register contract with a
 // try-lock cell: an operation that cannot acquire the cell immediately

@@ -143,12 +143,13 @@ template <qa::Sequential S>
 class OracleExploredRun : public ExploredRun {
  public:
   sim::World& world() override { return world_; }
-  std::uint64_t seed() const override { return workload_.world_seed; }
+  std::uint64_t seed() const override { return workload_->world_seed; }
 
   std::string check() override {
     typename LinOracle<S>::Options opt;
-    opt.max_states = workload_.oracle_max_states;
-    oracle_ = LinOracle<S>(opt).check(recorder_.history(), workload_.initial);
+    opt.max_states = workload_->oracle_max_states;
+    oracle_ =
+        LinOracle<S>(opt).check(recorder_.history(), workload_->initial);
     if (oracle_.linearizable()) return {};
     return oracle_.summary();
   }
@@ -165,18 +166,20 @@ class OracleExploredRun : public ExploredRun {
   const HistoryRecorder<S>& recorder() const { return recorder_; }
 
  protected:
-  OracleExploredRun(const ExploreWorkload<S>& workload,
+  /// Every run of one factory shares its workload; none copies it.
+  OracleExploredRun(std::shared_ptr<const ExploreWorkload<S>> workload,
                     std::unique_ptr<sim::Schedule> schedule)
-      : workload_(workload),
-        world_(workload.n, std::move(schedule), world_options(workload)) {
-    TBWF_ASSERT(static_cast<int>(workload_.ops.size()) == workload_.n,
+      : workload_(std::move(workload)),
+        world_(workload_->n, std::move(schedule),
+               world_options(*workload_)) {
+    TBWF_ASSERT(static_cast<int>(workload_->ops.size()) == workload_->n,
                 "explore config needs one op list per process");
   }
 
   /// Start every process's workload against `object`.
   template <class Obj>
   void spawn_workload(Obj& object, const char* name) {
-    for (sim::Pid p = 0; p < workload_.n; ++p) {
+    for (sim::Pid p = 0; p < workload_->n; ++p) {
       world_.spawn(p, name, [this, &object](sim::SimEnv& env) {
         return worker(env, *this, object);
       });
@@ -188,7 +191,7 @@ class OracleExploredRun : public ExploredRun {
     return detail::fold_history(h, recorder_.history());
   }
 
-  const ExploreWorkload<S> workload_;
+  const std::shared_ptr<const ExploreWorkload<S>> workload_;
   sim::World world_;
 
  private:
@@ -203,9 +206,9 @@ class OracleExploredRun : public ExploredRun {
   static sim::Task worker(sim::SimEnv& env, OracleExploredRun& self,
                           Obj& object) {
     const sim::Pid p = env.pid();
-    for (const typename S::Op& op : self.workload_.ops[p]) {
+    for (const typename S::Op& op : self.workload_->ops[p]) {
       auto response = co_await self.recorder_.invoke(object, env, op);
-      if (self.workload_.query_to_resolve && response.bottom()) {
+      if (self.workload_->query_to_resolve && response.bottom()) {
         (void)co_await self.recorder_.query(object, env);
       }
     }
@@ -226,30 +229,32 @@ struct QaExploreConfig : ExploreWorkload<S> {
 template <qa::Sequential S, class Base = qa::AtomicBase>
 class QaExploredRun final : public OracleExploredRun<S> {
  public:
-  QaExploredRun(const QaExploreConfig<S, Base>& config,
+  QaExploredRun(std::shared_ptr<const QaExploreConfig<S, Base>> config,
                 std::unique_ptr<sim::Schedule> schedule)
       : OracleExploredRun<S>(config, std::move(schedule)),
-        object_(this->world_, config.initial, config.policy) {
-    object_.set_mutations(config.mutations);
+        object_(this->world_, config->initial, config->policy) {
+    object_.set_mutations(config->mutations);
     this->spawn_workload(object_, "qa-explore");
   }
 
   std::uint64_t fingerprint() const override {
     return this->with_history(detail::fold_qa_universal(
-        util::kFnvOffset, object_, this->workload_.n));
+        util::kFnvOffset, object_, this->workload_->n));
   }
 
  private:
   qa::QaUniversal<S, Base> object_;
 };
 
-/// Factory adapter for Explorer. The config is copied into every run;
+/// Factory adapter for Explorer. Its runs share one copy of the config;
 /// any policy pointer it carries must outlive the exploration.
 template <qa::Sequential S, class Base = qa::AtomicBase>
 RunFactory make_qa_run_factory(QaExploreConfig<S, Base> config) {
-  return [config](std::unique_ptr<sim::Schedule> schedule)
+  auto shared =
+      std::make_shared<const QaExploreConfig<S, Base>>(std::move(config));
+  return [shared](std::unique_ptr<sim::Schedule> schedule)
              -> std::unique_ptr<ExploredRun> {
-    return std::make_unique<QaExploredRun<S, Base>>(config,
+    return std::make_unique<QaExploredRun<S, Base>>(shared,
                                                     std::move(schedule));
   };
 }

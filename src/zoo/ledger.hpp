@@ -16,6 +16,12 @@
 // between overlapping puts and are broken consistently for every
 // reader. A get linearizes at its last collect read.
 //
+// Written over a base-register policy (zoo/specialist.hpp): on atomic
+// registers it never answers bottom; on abortable ones an aborted read
+// answers bottom with fate F, and an aborted entry write is parked until
+// it lands. The collects are loops in invoke itself, so an operation
+// runs in one coroutine frame.
+//
 // Mutation seam: stale_ts makes put skip the collect and use a
 // process-local counter -- two *sequential* puts by different
 // processes can then order newest-first, which the Wing-Gong oracle
@@ -24,13 +30,17 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "qa/qa_object.hpp"
-#include "sim/env.hpp"
-#include "sim/world.hpp"
+#include "qa/qa_universal.hpp"
+#include "registers/abort_policy.hpp"
+#include "sim/co.hpp"
 #include "util/hash.hpp"
+#include "zoo/specialist.hpp"
 #include "zoo/zoo_types.hpp"
 
 namespace tbwf::zoo {
@@ -40,14 +50,20 @@ struct LedgerMutations {
   bool stale_ts = false;
 };
 
+template <class Base = qa::AtomicBase>
 class WfLedger {
  public:
   using S = LedgerType;
+  using State = S::State;
+  using Op = S::Op;
   using Result = S::Result;
   using Response = qa::QaResponse<Result>;
+  using Env = typename Base::Env;
+  using Home = typename Base::Home;
 
-  WfLedger(sim::World& world, S::State initial)
-      : world_(world), n_(world.n()) {
+  WfLedger(Home& home, State initial,
+           registers::AbortPolicy* policy = nullptr)
+      : home_(home), n_(Base::n(home)), slices_(n_) {
     Log genesis;
     // Pre-existing bindings (the spec's initial log) live in a
     // virtual log owned by no process, replicated into p0's genesis.
@@ -57,112 +73,97 @@ class WfLedger {
     }
     logs_.reserve(n_);
     for (sim::Pid p = 0; p < n_; ++p) {
-      logs_.push_back(world.make_atomic<Log>(
-          "zoo.ledger.log." + std::to_string(p), p == 0 ? genesis : Log{}));
+      logs_.push_back(Base::template make<Log>(
+          home, "zoo.ledger.log." + std::to_string(p),
+          p == 0 ? genesis : Log{}, policy, p));
     }
-    last_.assign(n_, Response::make_not_applied());
-    has_op_.assign(n_, false);
-    local_ts_.assign(n_, 0);
-    op_digest_.assign(n_, 0);
   }
 
   void set_mutations(LedgerMutations m) { mut_ = m; }
 
-  sim::Co<Response> invoke(sim::SimEnv& env, S::Op op) {
+  sim::Co<Response> invoke(Env& env, Op op) {
     const sim::Pid p = env.pid();
-    const std::size_t i = static_cast<std::size_t>(p);
-    has_op_[i] = true;
-    op_digest_[i] = util::kFnvOffset;
+    Slice& me = slices_[p];
+    me.op_digest = util::kFnvOffset;
+    if (!co_await land_parked<Base>(env, logs_[p], me)) co_return me.abort();
     if (op.is_put) {
       std::uint64_t ts;
       if (mut_.stale_ts) {
-        ts = ++local_ts_[i];
+        ts = ++me.local_ts;
       } else {
         std::uint64_t max_ts = 0;
         for (sim::Pid q = 0; q < n_; ++q) {
-          const Log log = co_await env.read(logs_[static_cast<std::size_t>(q)]);
-          fold_read(p, log);
-          for (const Entry& e : log.entries) {
+          const std::optional<Log> log = co_await read(env, q);
+          if (!log) co_return me.abort();
+          fold_read(me, *log);
+          for (const Entry& e : log->entries) {
             if (e.ts > max_ts) max_ts = e.ts;
           }
         }
         ts = max_ts + 1;
       }
-      Log mine = co_await env.read(logs_[i]);
-      fold_read(p, mine);
-      mine.entries.push_back(Entry{op.key, op.value, ts});
-      co_await env.write(logs_[i], mine);
-      last_[i] = Response::make_ok(op.value);
-    } else {
-      std::int64_t value = S::kAbsent;
-      std::uint64_t best_ts = 0;
-      sim::Pid best_pid = -1;
-      for (sim::Pid q = 0; q < n_; ++q) {
-        const Log log = co_await env.read(logs_[static_cast<std::size_t>(q)]);
-        fold_read(p, log);
-        for (const Entry& e : log.entries) {
-          if (e.key != op.key) continue;
-          if (value == S::kAbsent || e.ts > best_ts ||
-              (e.ts == best_ts && q > best_pid)) {
-            value = e.value;
-            best_ts = e.ts;
-            best_pid = q;
-          }
+      std::optional<Log> mine = co_await read(env, p);
+      if (!mine) co_return me.abort();
+      fold_read(me, *mine);
+      mine->entries.push_back(Entry{op.key, op.value, ts});
+      if (!co_await write(env, p, *mine)) {
+        // Readers may already see the entry: it must land.
+        co_return me.park(std::move(*mine), Response::make_ok(op.value));
+      }
+      co_return me.finish(Response::make_ok(op.value));
+    }
+    std::int64_t value = S::kAbsent;
+    std::uint64_t best_ts = 0;
+    sim::Pid best_pid = -1;
+    for (sim::Pid q = 0; q < n_; ++q) {
+      const std::optional<Log> log = co_await read(env, q);
+      if (!log) co_return me.abort();
+      fold_read(me, *log);
+      for (const Entry& e : log->entries) {
+        if (e.key != op.key) continue;
+        if (value == S::kAbsent || e.ts > best_ts ||
+            (e.ts == best_ts && q > best_pid)) {
+          value = e.value;
+          best_ts = e.ts;
+          best_pid = q;
         }
       }
-      last_[i] = Response::make_ok(value);
     }
-    // The op is done; its locals no longer constrain future behaviour.
-    op_digest_[i] = 0;
-    co_return last_[i];
+    co_return me.finish(Response::make_ok(value));
   }
 
-  sim::Co<Response> query(sim::SimEnv& env) {
-    const std::size_t i = static_cast<std::size_t>(env.pid());
-    co_await env.yield();
-    co_return has_op_[i] ? last_[i] : Response::make_not_applied();
+  sim::Co<Response> query(Env& env) {
+    const sim::Pid p = env.pid();
+    return query_fate<Base>(env, logs_[p], slices_[p]);
   }
 
   /// Quiescent-only: replay all entries in (ts, pid) order through the
   /// spec to obtain the abstract append log.
-  S::State abstract_state() const {
-    std::vector<Entry> all;
+  State abstract_state() const {
+    std::vector<std::pair<sim::Pid, Entry>> all;
     for (sim::Pid p = 0; p < n_; ++p) {
-      const Log& log = world_.peek<Log>(logs_[static_cast<std::size_t>(p)]);
-      for (const Entry& e : log.entries) {
-        Entry tagged = e;
-        tagged.pid_tiebreak = p;
-        all.push_back(tagged);
-      }
+      for (const Entry& e : peek(p).entries) all.emplace_back(p, e);
     }
-    std::sort(all.begin(), all.end(), [](const Entry& a, const Entry& b) {
-      return a.ts != b.ts ? a.ts < b.ts : a.pid_tiebreak < b.pid_tiebreak;
+    std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+      return a.second.ts != b.second.ts ? a.second.ts < b.second.ts
+                                        : a.first < b.first;
     });
-    S::State state;
-    for (const Entry& e : all) {
-      state.push_back(e.key);
-      state.push_back(e.value);
+    State state;
+    for (const auto& tagged : all) {
+      state.push_back(tagged.second.key);
+      state.push_back(tagged.second.value);
     }
     return state;
   }
 
   std::uint64_t fingerprint() const {
     std::uint64_t h = util::kFnvOffset;
-    for (sim::Pid p = 0; p < n_; ++p) {
-      const Log& log = world_.peek<Log>(logs_[static_cast<std::size_t>(p)]);
-      h = util::hash_mix(h, log.entries.size());
-      for (const Entry& e : log.entries) {
-        h = util::hash_mix(h, e.key);
-        h = util::hash_mix(h, e.value);
-        h = util::hash_mix(h, e.ts);
-      }
-    }
+    for (sim::Pid p = 0; p < n_; ++p) h = fold_log(h, peek(p));
     // Keep in-flight ops with different partial collects distinct under
     // explorer state caching (continuations are a function of values
     // read so far in the current op).
-    for (sim::Pid p = 0; p < n_; ++p) {
-      h = util::hash_mix(h, op_digest_[static_cast<std::size_t>(p)]);
-    }
+    for (const Slice& me : slices_) h = util::hash_mix(h, me.op_digest);
+    for (const Slice& me : slices_) h = me.fold_parked(h, fold_log);
     return h;
   }
 
@@ -173,29 +174,43 @@ class WfLedger {
     std::int64_t key = 0;
     std::int64_t value = 0;
     std::uint64_t ts = 0;
-    sim::Pid pid_tiebreak = 0;  ///< only used by abstract_state()
   };
   struct Log {
     std::vector<Entry> entries;
   };
+  struct Slice : SpecialistSlice<Log, Result> {
+    std::uint64_t local_ts = 0;  ///< the stale_ts mutant's counter
+  };
 
-  void fold_read(sim::Pid p, const Log& log) {
-    std::uint64_t& h = op_digest_[static_cast<std::size_t>(p)];
+  auto read(Env& env, sim::Pid q) {
+    return Base::template read<Log>(env, logs_[static_cast<std::size_t>(q)]);
+  }
+  /// The caller keeps `log`, to park it if the write aborts.
+  auto write(Env& env, sim::Pid q, const Log& log) {
+    return Base::template write<Log>(env, logs_[static_cast<std::size_t>(q)],
+                                     log);
+  }
+  decltype(auto) peek(sim::Pid q) const {
+    return Base::template peek<Log>(home_, logs_[static_cast<std::size_t>(q)]);
+  }
+
+  static std::uint64_t fold_log(std::uint64_t h, const Log& log) {
     h = util::hash_mix(h, log.entries.size());
     for (const Entry& e : log.entries) {
       h = util::hash_mix(h, e.key);
       h = util::hash_mix(h, e.value);
       h = util::hash_mix(h, e.ts);
     }
+    return h;
+  }
+  static void fold_read(Slice& me, const Log& log) {
+    if constexpr (Base::kExplored) me.op_digest = fold_log(me.op_digest, log);
   }
 
-  sim::World& world_;
+  Home& home_;
   int n_;
-  std::vector<sim::AtomicReg<Log>> logs_;
-  std::vector<Response> last_;
-  std::vector<bool> has_op_;
-  std::vector<std::uint64_t> local_ts_;
-  std::vector<std::uint64_t> op_digest_;  ///< per-pid in-flight read digest
+  std::vector<typename Base::template Reg<Log>> logs_;
+  std::vector<Slice> slices_;
   LedgerMutations mut_;
 };
 

@@ -14,8 +14,12 @@
 //
 // The specialist lives on the same T_QA surface as the universal twin
 // (invoke/query returning QaResponse) so HistoryRecorder and the zoo
-// explorer harness drive either interchangeably; being built on atomic
-// single-writer registers it simply never answers bottom.
+// explorer harness drive either interchangeably. It is written over a
+// base-register policy (zoo/specialist.hpp): on atomic registers it
+// never answers bottom; on abortable ones an aborted read answers bottom
+// with fate F, and an aborted segment write is parked until it lands.
+// The scan's collects are loops in invoke itself, so an operation runs
+// in one coroutine frame.
 //
 // Mutation seams (verification bites, see zoo_snapshot_test):
 //  - drop_embedded_scan: updates embed a stale (genesis) view; a
@@ -27,13 +31,18 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "qa/qa_object.hpp"
-#include "sim/env.hpp"
-#include "sim/world.hpp"
+#include "qa/qa_universal.hpp"
+#include "registers/abort_policy.hpp"
+#include "sim/co.hpp"
 #include "util/assert.hpp"
 #include "util/hash.hpp"
+#include "zoo/specialist.hpp"
 #include "zoo/zoo_types.hpp"
 
 namespace tbwf::zoo {
@@ -45,14 +54,20 @@ struct SnapshotMutations {
   bool never_borrow = false;
 };
 
+template <class Base = qa::AtomicBase>
 class WfSnapshot {
  public:
   using S = SnapshotType;
+  using State = S::State;
+  using Op = S::Op;
   using Result = S::Result;
   using Response = qa::QaResponse<Result>;
+  using Env = typename Base::Env;
+  using Home = typename Base::Home;
 
-  WfSnapshot(sim::World& world, S::State initial)
-      : world_(world), n_(world.n()) {
+  WfSnapshot(Home& home, State initial,
+             registers::AbortPolicy* policy = nullptr)
+      : home_(home), n_(Base::n(home)), slices_(n_) {
     TBWF_ASSERT(static_cast<int>(initial.size()) == n_,
                 "WfSnapshot: one segment per process (use "
                 "SnapshotType::initial(n))");
@@ -60,83 +75,83 @@ class WfSnapshot {
     for (sim::Pid p = 0; p < n_; ++p) {
       Seg seg;
       seg.value = initial[static_cast<std::size_t>(p)];
-      segs_.push_back(world.make_atomic<Seg>(
-          "zoo.snap.seg." + std::to_string(p), seg));
+      segs_.push_back(Base::template make<Seg>(
+          home, "zoo.snap.seg." + std::to_string(p), seg, policy, p));
     }
-    last_.assign(n_, Response::make_not_applied());
-    has_op_.assign(n_, false);
-    op_digest_.assign(n_, 0);
   }
 
   void set_mutations(SnapshotMutations m) { mut_ = m; }
 
   /// Specialist updates write the caller's own segment (single-writer
   /// base registers); workloads must use op.index == pid.
-  sim::Co<Response> invoke(sim::SimEnv& env, S::Op op) {
+  sim::Co<Response> invoke(Env& env, Op op) {
     const sim::Pid p = env.pid();
-    has_op_[static_cast<std::size_t>(p)] = true;
-    op_digest_[static_cast<std::size_t>(p)] = util::kFnvOffset;
+    Slice& me = slices_[p];
+    me.op_digest = util::kFnvOffset;
+    if (!co_await land_parked<Base>(env, segs_[p], me)) co_return me.abort();
     if (op.is_update) {
       TBWF_ASSERT(op.index == p,
                   "WfSnapshot specialist: a process updates its own "
                   "segment");
-      Seg seg;
-      if (!mut_.drop_embedded_scan) {
-        seg.view = co_await scan(env);
-      } else {
-        seg.view.assign(static_cast<std::size_t>(n_), 0);
-      }
-      const Seg mine = co_await env.read(segs_[static_cast<std::size_t>(p)]);
-      fold_read(p, mine);
-      seg.value = op.value;
-      seg.seq = mine.seq + 1;
-      co_await env.write(segs_[static_cast<std::size_t>(p)], seg);
-      last_[static_cast<std::size_t>(p)] = Response::make_ok(Result{});
-    } else {
-      Result view = co_await scan(env);
-      last_[static_cast<std::size_t>(p)] = Response::make_ok(view);
     }
-    // The op is done: its coroutine locals are dead, so the in-flight
-    // digest no longer constrains future behaviour.
-    op_digest_[static_cast<std::size_t>(p)] = 0;
-    co_return last_[static_cast<std::size_t>(p)];
+    Result view;
+    if (op.is_update && mut_.drop_embedded_scan) {
+      view.assign(static_cast<std::size_t>(n_), 0);
+    } else {
+      // Scan: collect until two consecutive collects agree or some
+      // updater is seen to move twice.
+      std::vector<int> moved(static_cast<std::size_t>(n_), 0);
+      std::vector<Seg> prev(static_cast<std::size_t>(n_));
+      std::vector<Seg> cur(static_cast<std::size_t>(n_));
+      for (bool first = true;; first = false) {
+        for (sim::Pid q = 0; q < n_; ++q) {
+          std::optional<Seg> seg = co_await read(env, q);
+          if (!seg) co_return me.abort();
+          fold_read(me, *seg);
+          cur[static_cast<std::size_t>(q)] = std::move(*seg);
+        }
+        if (!first && scanned(prev, cur, moved, view)) break;
+        prev.swap(cur);
+      }
+    }
+    if (!op.is_update) co_return me.finish(Response::make_ok(std::move(view)));
+
+    std::optional<Seg> mine = co_await read(env, p);
+    if (!mine) co_return me.abort();
+    fold_read(me, *mine);
+    Seg seg;
+    seg.value = op.value;
+    seg.seq = mine->seq + 1;
+    seg.view = std::move(view);
+    if (!co_await write(env, p, seg)) {
+      // Scanners may already see the segment: it must land.
+      co_return me.park(std::move(seg), Response::make_ok(Result{}));
+    }
+    co_return me.finish(Response::make_ok(Result{}));
   }
 
-  /// The specialist never answers bottom, so query just restates the
-  /// last operation's (already final) fate.
-  sim::Co<Response> query(sim::SimEnv& env) {
+  sim::Co<Response> query(Env& env) {
     const sim::Pid p = env.pid();
-    co_await env.yield();
-    co_return has_op_[static_cast<std::size_t>(p)]
-        ? last_[static_cast<std::size_t>(p)]
-        : Response::make_not_applied();
+    return query_fate<Base>(env, segs_[p], slices_[p]);
   }
 
   /// Quiescent-only abstract state for differential cross-checks.
-  S::State abstract_state() const {
-    S::State state;
+  State abstract_state() const {
+    State state;
     state.reserve(static_cast<std::size_t>(n_));
-    for (sim::Pid p = 0; p < n_; ++p) {
-      state.push_back(world_.peek<Seg>(segs_[static_cast<std::size_t>(p)]).value);
-    }
+    for (sim::Pid p = 0; p < n_; ++p) state.push_back(peek(p).value);
     return state;
   }
 
   std::uint64_t fingerprint() const {
     std::uint64_t h = util::kFnvOffset;
-    for (sim::Pid p = 0; p < n_; ++p) {
-      const Seg& seg = world_.peek<Seg>(segs_[static_cast<std::size_t>(p)]);
-      h = util::hash_mix(h, seg.value);
-      h = util::hash_mix(h, seg.seq);
-      h = util::hash_range(h, seg.view);
-    }
+    for (sim::Pid p = 0; p < n_; ++p) h = fold_seg(h, peek(p));
     // In-flight coroutine locals (prev collect, moved counters) are a
     // deterministic function of the values each pending op has read so
     // far; folding the per-pid read digests keeps states with different
     // continuations distinct under explorer state caching.
-    for (sim::Pid p = 0; p < n_; ++p) {
-      h = util::hash_mix(h, op_digest_[static_cast<std::size_t>(p)]);
-    }
+    for (const Slice& me : slices_) h = util::hash_mix(h, me.op_digest);
+    for (const Slice& me : slices_) h = me.fold_parked(h, fold_seg);
     return h;
   }
 
@@ -148,58 +163,54 @@ class WfSnapshot {
     std::uint64_t seq = 0;
     std::vector<std::int64_t> view;  ///< writer-embedded scan
   };
+  using Slice = SpecialistSlice<Seg, Result>;
 
-  void fold_read(sim::Pid p, const Seg& seg) {
-    std::uint64_t& h = op_digest_[static_cast<std::size_t>(p)];
+  auto read(Env& env, sim::Pid q) {
+    return Base::template read<Seg>(env, segs_[static_cast<std::size_t>(q)]);
+  }
+  /// The caller keeps `seg`, to park it if the write aborts.
+  auto write(Env& env, sim::Pid q, const Seg& seg) {
+    return Base::template write<Seg>(env, segs_[static_cast<std::size_t>(q)],
+                                     seg);
+  }
+  decltype(auto) peek(sim::Pid q) const {
+    return Base::template peek<Seg>(home_, segs_[static_cast<std::size_t>(q)]);
+  }
+
+  static std::uint64_t fold_seg(std::uint64_t h, const Seg& seg) {
     h = util::hash_mix(h, seg.value);
     h = util::hash_mix(h, seg.seq);
-    h = util::hash_range(h, seg.view);
+    return util::hash_range(h, seg.view);
+  }
+  static void fold_read(Slice& me, const Seg& seg) {
+    if constexpr (Base::kExplored) me.op_digest = fold_seg(me.op_digest, seg);
   }
 
-  sim::Co<std::vector<Seg>> collect(sim::SimEnv& env) {
-    const sim::Pid p = env.pid();
-    std::vector<Seg> out;
-    out.reserve(static_cast<std::size_t>(n_));
-    for (sim::Pid q = 0; q < n_; ++q) {
-      out.push_back(co_await env.read(segs_[static_cast<std::size_t>(q)]));
-      fold_read(p, out.back());
-    }
-    co_return out;
-  }
-
-  sim::Co<Result> scan(sim::SimEnv& env) {
-    std::vector<int> moved(static_cast<std::size_t>(n_), 0);
-    std::vector<Seg> prev = co_await collect(env);
-    for (;;) {
-      std::vector<Seg> cur = co_await collect(env);
-      bool clean = true;
-      for (sim::Pid q = 0; q < n_; ++q) {
-        const std::size_t i = static_cast<std::size_t>(q);
-        if (cur[i].seq != prev[i].seq) {
-          clean = false;
-          if (++moved[i] >= 2 && !mut_.never_borrow) {
-            // q moved twice since we started: its latest embedded view
-            // was scanned entirely inside our interval.
-            co_return cur[i].view;
-          }
-        }
+  /// After the collect `cur` that followed `prev`: true iff the scan is
+  /// over, with its result in `view`.
+  bool scanned(const std::vector<Seg>& prev, const std::vector<Seg>& cur,
+               std::vector<int>& moved, Result& view) const {
+    bool clean = true;
+    for (std::size_t i = 0; i < cur.size(); ++i) {
+      if (cur[i].seq == prev[i].seq) continue;
+      clean = false;
+      if (++moved[i] >= 2 && !mut_.never_borrow) {
+        // q moved twice since we started: its latest embedded view was
+        // scanned entirely inside our interval.
+        view = cur[i].view;
+        return true;
       }
-      if (clean) {
-        Result view;
-        view.reserve(static_cast<std::size_t>(n_));
-        for (const Seg& seg : cur) view.push_back(seg.value);
-        co_return view;
-      }
-      prev = std::move(cur);
     }
+    if (!clean) return false;
+    view.reserve(cur.size());
+    for (const Seg& seg : cur) view.push_back(seg.value);
+    return true;
   }
 
-  sim::World& world_;
+  Home& home_;
   int n_;
-  std::vector<sim::AtomicReg<Seg>> segs_;
-  std::vector<Response> last_;
-  std::vector<bool> has_op_;
-  std::vector<std::uint64_t> op_digest_;  ///< per-pid in-flight read digest
+  std::vector<typename Base::template Reg<Seg>> segs_;
+  std::vector<Slice> slices_;
   SnapshotMutations mut_;
 };
 

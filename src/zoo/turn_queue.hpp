@@ -28,13 +28,21 @@
 // state co-existed between the two collects), so Ok(kEmpty)/Ok(kFull)
 // linearize inside the operation's interval.
 //
-// T_QA surface: contention can yield bottom, but every return path
-// settles the caller's own tentative item / pending claim first
-// (self-help on abort), so a bottomed op's fate is already final and
-// query resolves it to Ok or F from local state alone -- and a crashed
-// process can wedge at most its own claim, never another's record.
-// Solo runs take the fast path or the solo-stable path and never
-// answer bottom.
+// T_QA surface: contention can yield bottom, but on atomic registers
+// every return path settles the caller's own tentative item / pending
+// claim first (self-help on abort), so a bottomed op's fate is final
+// and query resolves it to Ok or F -- and a crashed process can wedge
+// at most its own claim, never another's record. Solo runs take the
+// fast path or the solo-stable path and never answer bottom.
+//
+// The protocol is written over a base-register policy
+// (zoo/specialist.hpp). On abortable registers a write that aborted may
+// still have landed, so the settlement follows what the write was: a
+// committed item or a confirmed claim is parked until it lands (another
+// process may already have counted or consumed it), a tentative item or
+// a pending claim is voided by parking its retraction. Either way query
+// answers once the parked write lands. Each operation runs in one
+// coroutine frame: the collects are loops in enqueue/dequeue.
 //
 // Mutation seam: drop_claim_fence skips dequeue validation -- two
 // dequeuers can then confirm the same turn and both return the same
@@ -45,12 +53,15 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "qa/qa_object.hpp"
-#include "sim/env.hpp"
-#include "sim/world.hpp"
+#include "qa/qa_universal.hpp"
+#include "registers/abort_policy.hpp"
+#include "sim/co.hpp"
 #include "util/hash.hpp"
+#include "zoo/specialist.hpp"
 #include "zoo/zoo_types.hpp"
 
 namespace tbwf::zoo {
@@ -60,15 +71,20 @@ struct TurnQueueMutations {
   bool drop_claim_fence = false;
 };
 
-template <int Cap>
+template <int Cap, class Base = qa::AtomicBase>
 class TurnQueue {
  public:
   using S = BoundedQueueOf<Cap>;
+  using State = typename S::State;
+  using Op = typename S::Op;
   using Result = typename S::Result;
   using Response = qa::QaResponse<Result>;
+  using Env = typename Base::Env;
+  using Home = typename Base::Home;
 
-  TurnQueue(sim::World& world, typename S::State initial)
-      : world_(world), n_(world.n()) {
+  TurnQueue(Home& home, State initial,
+            registers::AbortPolicy* policy = nullptr)
+      : home_(home), n_(Base::n(home)), slices_(n_) {
     Rec genesis;
     // Pre-loaded items live in p0's record with ascending timestamps.
     std::uint64_t ts = 0;
@@ -77,68 +93,51 @@ class TurnQueue {
     }
     recs_.reserve(n_);
     for (sim::Pid p = 0; p < n_; ++p) {
-      recs_.push_back(world.make_atomic<Rec>(
-          "zoo.queue.rec." + std::to_string(p), p == 0 ? genesis : Rec{}));
+      recs_.push_back(Base::template make<Rec>(
+          home, "zoo.queue.rec." + std::to_string(p),
+          p == 0 ? genesis : Rec{}, policy, p));
     }
-    last_.assign(n_, Response::make_not_applied());
-    has_op_.assign(n_, false);
-    op_digest_.assign(n_, 0);
   }
 
   void set_mutations(TurnQueueMutations m) { mut_ = m; }
 
-  sim::Co<Response> invoke(sim::SimEnv& env, typename S::Op op) {
-    const sim::Pid p = env.pid();
-    const std::size_t i = static_cast<std::size_t>(p);
-    has_op_[i] = true;
-    op_digest_[i] = util::kFnvOffset;
-    // if/else, not ?: with a co_await in each arm (GCC 12 miscompiles
-    // that shape; see core::TbwfObject::invoke).
-    Response r;
-    if (op.is_enqueue) {
-      r = co_await enqueue(env, p, op.value);
-    } else {
-      r = co_await dequeue(env, p);
-    }
-    last_[i] = r;
-    // Coroutine locals (collected views, the chosen head) die here.
-    op_digest_[i] = 0;
-    co_return r;
+  /// The operation's one frame is enqueue's or dequeue's.
+  sim::Co<Response> invoke(Env& env, Op op) {
+    Slice& me = slices_[env.pid()];
+    me.op_digest = util::kFnvOffset;
+    if (op.is_enqueue) return enqueue(env, me, op.value);
+    return dequeue(env, me);
   }
 
-  /// Every invoke settles its own item/claim before returning, so the
-  /// last op's fate is final and locally known: bottom never survives
-  /// a query here.
-  sim::Co<Response> query(sim::SimEnv& env) {
-    const std::size_t i = static_cast<std::size_t>(env.pid());
-    co_await env.yield();
-    if (!has_op_[i]) co_return Response::make_not_applied();
-    if (last_[i].bottom()) co_return Response::make_not_applied();
-    co_return last_[i];
+  /// Every invoke settles its own item/claim before returning (or parks
+  /// the write that settles it), so the last op's fate is Ok or F once
+  /// nothing is parked.
+  sim::Co<Response> query(Env& env) {
+    const sim::Pid p = env.pid();
+    return query_fate<Base>(env, recs_[p], slices_[p]);
   }
 
   /// Quiescent-only abstract state for differential cross-checks:
   /// committed unconsumed items in (ts, owner) order.
-  typename S::State abstract_state() const {
-    View view = peek_view();
-    typename S::State state;
+  State abstract_state() const {
+    View view;
+    view.reserve(static_cast<std::size_t>(n_));
+    for (sim::Pid q = 0; q < n_; ++q) view.push_back(peek(q));
+    State state;
     for (const ItemRef& ref : unconsumed(view)) state.push_back(ref.value);
     return state;
   }
 
   std::uint64_t fingerprint() const {
     std::uint64_t h = util::kFnvOffset;
-    for (sim::Pid p = 0; p < n_; ++p) {
-      fold_rec(h, world_.peek<Rec>(recs_[static_cast<std::size_t>(p)]));
-    }
+    for (sim::Pid p = 0; p < n_; ++p) h = fold_rec(h, peek(p));
     // A pending op's continuation (held collect, chosen head item) is a
     // deterministic function of the values it has read so far; without
     // the per-pid read digests, explorer state caching merges states
     // whose registers agree but whose in-flight dequeues hold different
     // views -- exactly how the dropped-fence double-dequeue once hid.
-    for (sim::Pid p = 0; p < n_; ++p) {
-      h = util::hash_mix(h, op_digest_[static_cast<std::size_t>(p)]);
-    }
+    for (const Slice& me : slices_) h = util::hash_mix(h, me.op_digest);
+    for (const Slice& me : slices_) h = me.fold_parked(h, fold_rec);
     return h;
   }
 
@@ -156,7 +155,7 @@ class TurnQueue {
   struct Claim {
     sim::Pid owner = 0;       ///< owner of the claimed item
     std::uint32_t index = 0;  ///< index into the owner's item log
-    std::uint64_t turn = 0;   ///< consumed count in the claimant's view
+    std::uint32_t turn = 0;   ///< consumed count in the claimant's view
     std::uint8_t state = kPending;
   };
   struct Rec {
@@ -164,6 +163,7 @@ class TurnQueue {
     std::vector<Claim> claims;
   };
   using View = std::vector<Rec>;
+  using Slice = SpecialistSlice<Rec, Result>;
 
   struct ItemRef {
     sim::Pid owner = 0;
@@ -247,24 +247,30 @@ class TurnQueue {
     return ts;
   }
 
-  /// Stability digest over every record EXCEPT the caller's own: the
-  /// caller writes its own record between collects (tentative append,
-  /// claim publish), which must not defeat the double-collect; only
-  /// foreign quiescence carries the co-existence argument.
-  static std::uint64_t view_digest(const View& view, sim::Pid self) {
-    std::uint64_t h = util::kFnvOffset;
-    for (sim::Pid q = 0; q < static_cast<sim::Pid>(view.size()); ++q) {
+  /// Double-collect stability over every record EXCEPT the caller's own:
+  /// the caller writes its own record between collects (tentative
+  /// append, claim publish), which must not defeat the double-collect;
+  /// only foreign quiescence carries the co-existence argument.
+  static bool foreign_stable(const View& a, const View& b, sim::Pid self) {
+    for (sim::Pid q = 0; q < static_cast<sim::Pid>(a.size()); ++q) {
       if (q == self) continue;
-      const Rec& rec = view[static_cast<std::size_t>(q)];
-      h = util::hash_mix(h, rec.items.size());
-      for (const Item& item : rec.items) h = util::hash_mix(h, item.state);
-      h = util::hash_mix(h, rec.claims.size());
-      for (const Claim& c : rec.claims) h = util::hash_mix(h, c.state);
+      const Rec& x = a[static_cast<std::size_t>(q)];
+      const Rec& y = b[static_cast<std::size_t>(q)];
+      if (!std::equal(x.items.begin(), x.items.end(), y.items.begin(),
+                      y.items.end(), [](const Item& i, const Item& j) {
+                        return i.state == j.state;
+                      }) ||
+          !std::equal(x.claims.begin(), x.claims.end(), y.claims.begin(),
+                      y.claims.end(), [](const Claim& c, const Claim& d) {
+                        return c.state == d.state;
+                      })) {
+        return false;
+      }
     }
-    return h;
+    return true;
   }
 
-  static void fold_rec(std::uint64_t& h, const Rec& rec) {
+  static std::uint64_t fold_rec(std::uint64_t h, const Rec& rec) {
     h = util::hash_mix(h, rec.items.size());
     for (const Item& item : rec.items) {
       h = util::hash_mix(h, item.value);
@@ -278,135 +284,176 @@ class TurnQueue {
       h = util::hash_mix(h, c.turn);
       h = util::hash_mix(h, c.state);
     }
+    return h;
   }
 
-  void fold_read(sim::Pid p, const Rec& rec) {
-    fold_rec(op_digest_[static_cast<std::size_t>(p)], rec);
+  static void fold_read(Slice& me, const Rec& rec) {
+    if constexpr (Base::kExplored) me.op_digest = fold_rec(me.op_digest, rec);
   }
 
-  sim::Co<View> collect(sim::SimEnv& env) {
-    const sim::Pid p = env.pid();
-    View view;
-    view.reserve(static_cast<std::size_t>(n_));
-    for (sim::Pid q = 0; q < n_; ++q) {
-      view.push_back(co_await env.read(recs_[static_cast<std::size_t>(q)]));
-      fold_read(p, view.back());
-    }
-    co_return view;
+  auto read(Env& env, sim::Pid q) {
+    return Base::template read<Rec>(env, recs_[static_cast<std::size_t>(q)]);
+  }
+  /// The caller keeps `rec`, to park it if the write aborts.
+  auto write(Env& env, sim::Pid q, const Rec& rec) {
+    return Base::template write<Rec>(env, recs_[static_cast<std::size_t>(q)],
+                                     rec);
+  }
+  decltype(auto) peek(sim::Pid q) const {
+    return Base::template peek<Rec>(home_, recs_[static_cast<std::size_t>(q)]);
   }
 
-  View peek_view() const {
-    View view;
-    view.reserve(static_cast<std::size_t>(n_));
-    for (sim::Pid q = 0; q < n_; ++q) {
-      view.push_back(world_.peek<Rec>(recs_[static_cast<std::size_t>(q)]));
-    }
-    return view;
-  }
-
-  /// Rewrite the state of the caller's last item (append order).
-  sim::Co<void> set_last_item_state(sim::SimEnv& env, sim::Pid p,
-                                    std::uint8_t state) {
-    Rec mine = co_await env.read(recs_[static_cast<std::size_t>(p)]);
-    fold_read(p, mine);
-    mine.items.back().state = state;
-    co_await env.write(recs_[static_cast<std::size_t>(p)], mine);
-  }
-
-  sim::Co<void> set_last_claim_state(sim::SimEnv& env, sim::Pid p,
-                                     std::uint8_t state) {
-    Rec mine = co_await env.read(recs_[static_cast<std::size_t>(p)]);
-    fold_read(p, mine);
-    mine.claims.back().state = state;
-    co_await env.write(recs_[static_cast<std::size_t>(p)], mine);
-  }
+  // Each own-record rewrite (an append, or settling the last item or
+  // claim) reads the record first and writes it back changed. The
+  // caller is the record's only writer, so a settling rewrite whose read
+  // aborts goes on with the record it last wrote.
 
   // -- enqueue ------------------------------------------------------------
 
-  sim::Co<Response> enqueue(sim::SimEnv& env, sim::Pid p, std::int64_t v) {
-    View c1 = co_await collect(env);
+  sim::Co<Response> enqueue(Env& env, Slice& me, std::int64_t v) {
+    const sim::Pid p = env.pid();
+    if (!co_await land_parked<Base>(env, recs_[p], me)) co_return me.abort();
+    View c1(static_cast<std::size_t>(n_));
+    for (sim::Pid q = 0; q < n_; ++q) {
+      std::optional<Rec> rec = co_await read(env, q);
+      if (!rec) co_return me.abort();
+      fold_read(me, *rec);
+      c1[static_cast<std::size_t>(q)] = std::move(*rec);
+    }
     const std::uint64_t ts = max_ts(c1) + 1;
     const int size1 = static_cast<int>(unconsumed(c1).size());
-    if (size1 + n_ <= Cap) {
-      // Fast path: even if every other process lands one unseen item,
-      // the bound holds.
-      Rec mine = co_await env.read(recs_[static_cast<std::size_t>(p)]);
-      fold_read(p, mine);
-      mine.items.push_back(Item{v, ts, kCommitted});
-      co_await env.write(recs_[static_cast<std::size_t>(p)], mine);
-      co_return Response::make_ok(v);
+    // Fast path: even if every other process lands one unseen item, the
+    // bound holds, so the item goes in committed. Near-full slow path:
+    // append it tentative, validate, then commit / conclude full /
+    // retract.
+    const bool fast = size1 + n_ <= Cap;
+    std::optional<Rec> mine = co_await read(env, p);
+    if (!mine) co_return me.abort();
+    fold_read(me, *mine);
+    mine->items.push_back(Item{v, ts, fast ? kCommitted : kTentative});
+    if (!co_await write(env, p, *mine)) {
+      if (fast) co_return me.park(std::move(*mine), Response::make_ok(v));
+      mine->items.back().state = kRetracted;
+      co_return me.park(std::move(*mine), Response::make_not_applied());
     }
-    // Near-full slow path: tentative append, validate, then commit /
-    // conclude full / retract.
-    {
-      Rec mine = co_await env.read(recs_[static_cast<std::size_t>(p)]);
-      fold_read(p, mine);
-      mine.items.push_back(Item{v, ts, kTentative});
-      co_await env.write(recs_[static_cast<std::size_t>(p)], mine);
+    if (fast) co_return me.finish(Response::make_ok(v));
+
+    View c2(static_cast<std::size_t>(n_));
+    for (sim::Pid q = 0; q < n_; ++q) {
+      std::optional<Rec> rec = co_await read(env, q);
+      if (!rec) {
+        mine->items.back().state = kRetracted;
+        co_return me.park(std::move(*mine), Response::make_not_applied());
+      }
+      fold_read(me, *rec);
+      c2[static_cast<std::size_t>(q)] = std::move(*rec);
     }
-    View c2 = co_await collect(env);
     const int size2 = static_cast<int>(unconsumed(c2).size());
-    const bool stable = view_digest(c1, p) == view_digest(c2, p);
+    const bool stable = foreign_stable(c1, c2, p);
+    // Retract and answer bottom (fate F), unless:
+    std::uint8_t state = kRetracted;
+    Response answer = Response::make_bottom();
+    Response fate = Response::make_not_applied();
     if (size2 >= Cap && stable) {
       // The >= Cap unconsumed items co-existed between the collects:
       // the queue was full inside our interval.
-      co_await set_last_item_state(env, p, kRetracted);
-      co_return Response::make_ok(S::kFull);
-    }
-    const bool quiet = stable && !foreign_tentative_item(c2, p) &&
-                       !foreign_pending_claim(c2, p);
-    if (size2 < Cap && (size2 + n_ <= Cap || quiet)) {
+      answer = fate = Response::make_ok(S::kFull);
+    } else if (size2 < Cap &&
+               (size2 + n_ <= Cap ||
+                (stable && !foreign_tentative_item(c2, p) &&
+                 !foreign_pending_claim(c2, p)))) {
       // Full slack, or solo-stable: any unseen concurrent appender
       // will observe our (tentative or committed) item during ITS
       // validation and yield, so committing here cannot overflow.
-      co_await set_last_item_state(env, p, kCommitted);
-      co_return Response::make_ok(v);
+      state = kCommitted;
+      answer = fate = Response::make_ok(v);
     }
-    co_await set_last_item_state(env, p, kRetracted);
-    co_return Response::make_bottom();
+    std::optional<Rec> cur = co_await read(env, p);
+    if (cur) {
+      fold_read(me, *cur);
+      mine = std::move(cur);
+    }
+    mine->items.back().state = state;
+    if (!co_await write(env, p, *mine)) {
+      co_return me.park(std::move(*mine), std::move(fate));
+    }
+    co_return me.settle(std::move(answer), std::move(fate));
   }
 
   // -- dequeue ------------------------------------------------------------
 
-  sim::Co<Response> dequeue(sim::SimEnv& env, sim::Pid p) {
-    View c1 = co_await collect(env);
-    if (foreign_pending_claim(c1, p)) co_return Response::make_bottom();
-    std::vector<ItemRef> items = unconsumed(c1);
+  sim::Co<Response> dequeue(Env& env, Slice& me) {
+    const sim::Pid p = env.pid();
+    if (!co_await land_parked<Base>(env, recs_[p], me)) co_return me.abort();
+    View c1(static_cast<std::size_t>(n_));
+    for (sim::Pid q = 0; q < n_; ++q) {
+      std::optional<Rec> rec = co_await read(env, q);
+      if (!rec) co_return me.abort();
+      fold_read(me, *rec);
+      c1[static_cast<std::size_t>(q)] = std::move(*rec);
+    }
+    if (foreign_pending_claim(c1, p)) co_return me.abort();
+    const std::vector<ItemRef> items = unconsumed(c1);
     if (items.empty()) {
-      View c2 = co_await collect(env);
-      if (view_digest(c1, p) == view_digest(c2, p)) {
-        co_return Response::make_ok(S::kEmpty);
+      View c2(static_cast<std::size_t>(n_));
+      for (sim::Pid q = 0; q < n_; ++q) {
+        std::optional<Rec> rec = co_await read(env, q);
+        if (!rec) co_return me.abort();
+        fold_read(me, *rec);
+        c2[static_cast<std::size_t>(q)] = std::move(*rec);
       }
-      co_return Response::make_bottom();
+      if (foreign_stable(c1, c2, p)) {
+        co_return me.finish(Response::make_ok(S::kEmpty));
+      }
+      co_return me.abort();
     }
     const ItemRef head = items.front();
-    {  // Publish a pending claim for the head item's turn.
-      Rec mine = co_await env.read(recs_[static_cast<std::size_t>(p)]);
-      fold_read(p, mine);
-      mine.claims.push_back(
-          Claim{head.owner, head.index, consumed_count(c1), kPending});
-      co_await env.write(recs_[static_cast<std::size_t>(p)], mine);
+    // Publish a pending claim for the head item's turn.
+    std::optional<Rec> mine = co_await read(env, p);
+    if (!mine) co_return me.abort();
+    fold_read(me, *mine);
+    mine->claims.push_back(
+        Claim{head.owner, head.index,
+              static_cast<std::uint32_t>(consumed_count(c1)), kPending});
+    if (!co_await write(env, p, *mine)) {
+      mine->claims.back().state = kDropped;
+      co_return me.park(std::move(*mine), Response::make_not_applied());
     }
+    std::uint8_t state = kConfirmed;
     if (!mut_.drop_claim_fence) {
-      View c2 = co_await collect(env);
-      std::vector<ItemRef> items2 = unconsumed(c2);
-      const bool head_gone =
-          items2.empty() || !items2.front().same(head);
-      if (foreign_pending_claim(c2, p) || head_gone) {
-        co_await set_last_claim_state(env, p, kDropped);
-        co_return Response::make_bottom();
+      View c2(static_cast<std::size_t>(n_));
+      for (sim::Pid q = 0; q < n_; ++q) {
+        std::optional<Rec> rec = co_await read(env, q);
+        if (!rec) {
+          mine->claims.back().state = kDropped;
+          co_return me.park(std::move(*mine), Response::make_not_applied());
+        }
+        fold_read(me, *rec);
+        c2[static_cast<std::size_t>(q)] = std::move(*rec);
       }
+      const std::vector<ItemRef> items2 = unconsumed(c2);
+      const bool head_gone = items2.empty() || !items2.front().same(head);
+      if (foreign_pending_claim(c2, p) || head_gone) state = kDropped;
     }
-    co_await set_last_claim_state(env, p, kConfirmed);
-    co_return Response::make_ok(head.value);
+    const Response fate = state == kConfirmed
+                              ? Response::make_ok(head.value)
+                              : Response::make_not_applied();
+    std::optional<Rec> cur = co_await read(env, p);
+    if (cur) {
+      fold_read(me, *cur);
+      mine = std::move(cur);
+    }
+    mine->claims.back().state = state;
+    if (!co_await write(env, p, *mine)) {
+      co_return me.park(std::move(*mine), fate);
+    }
+    co_return me.settle(fate.ok() ? fate : Response::make_bottom(), fate);
   }
 
-  sim::World& world_;
+  Home& home_;
   int n_;
-  std::vector<sim::AtomicReg<Rec>> recs_;
-  std::vector<Response> last_;
-  std::vector<bool> has_op_;
-  std::vector<std::uint64_t> op_digest_;  ///< per-pid in-flight read digest
+  std::vector<typename Base::template Reg<Rec>> recs_;
+  std::vector<Slice> slices_;
   TurnQueueMutations mut_;
 };
 

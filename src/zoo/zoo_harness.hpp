@@ -178,16 +178,16 @@ class ZooExploredRun final : public verify::OracleExploredRun<S> {
   using Maker = std::function<std::unique_ptr<Obj>(
       sim::World&, const typename S::State&)>;
 
-  ZooExploredRun(const ZooExploreConfig<S>& config, const Maker& maker,
-                 std::unique_ptr<sim::Schedule> schedule)
-      : verify::OracleExploredRun<S>(config, std::move(schedule)),
-        object_(maker(this->world_, config.initial)) {
+  ZooExploredRun(std::shared_ptr<const ZooExploreConfig<S>> config,
+                 const Maker& maker, std::unique_ptr<sim::Schedule> schedule)
+      : verify::OracleExploredRun<S>(std::move(config), std::move(schedule)),
+        object_(maker(this->world_, this->workload_->initial)) {
     this->spawn_workload(*object_, "zoo-explore");
   }
 
   std::uint64_t fingerprint() const override {
     std::uint64_t h = object_->fingerprint();
-    for (sim::Pid p = 0; p < this->workload_.n; ++p) {
+    for (sim::Pid p = 0; p < this->workload_->n; ++p) {
       h = util::hash_mix(h, this->world_.local_steps(p));
     }
     return this->with_history(h);
@@ -199,17 +199,31 @@ class ZooExploredRun final : public verify::OracleExploredRun<S> {
   std::unique_ptr<Obj> object_;
 };
 
-/// Factory adapter for Explorer. Config and maker are copied into
-/// every run; the maker must be pure up to its World argument.
+/// Factory adapter for Explorer. Its runs share one copy of the config
+/// and call one maker, which must be pure up to its World argument.
 template <qa::Sequential S, class Obj>
   requires ZooObject<Obj, S>
 verify::RunFactory make_zoo_run_factory(
     ZooExploreConfig<S> config,
     typename ZooExploredRun<S, Obj>::Maker maker) {
-  return [config, maker](std::unique_ptr<sim::Schedule> schedule)
+  auto shared = std::make_shared<const ZooExploreConfig<S>>(std::move(config));
+  return [shared, maker = std::move(maker)](
+             std::unique_ptr<sim::Schedule> schedule)
              -> std::unique_ptr<verify::ExploredRun> {
-    return std::make_unique<ZooExploredRun<S, Obj>>(config, maker,
+    return std::make_unique<ZooExploredRun<S, Obj>>(shared, maker,
                                                     std::move(schedule));
+  };
+}
+
+/// Maker for an object built as Obj(world, initial, policy): a specialist
+/// or universal twin on abortable registers. The policy must outlive the
+/// exploration.
+template <qa::Sequential S, class Obj>
+  requires ZooObject<Obj, S>
+typename ZooExploredRun<S, Obj>::Maker make_with_policy(
+    registers::AbortPolicy* policy) {
+  return [policy](sim::World& world, const typename S::State& initial) {
+    return std::make_unique<Obj>(world, initial, policy);
   };
 }
 

@@ -225,10 +225,10 @@ TEST(ConformanceEdgeBatch, SpecialistOnlyRunGradesVacuouslyPerEpoch) {
   // nothing to flag.
   const int n = 2;
   World world(n, std::make_unique<sim::RandomSchedule>(11));
-  zoo::WfLedger ledger(world, zoo::LedgerType::State{});
+  zoo::WfLedger<> ledger(world, zoo::LedgerType::State{});
   core::OpLog log(n);
   struct Worker {
-    static Task run(SimEnv& env, zoo::WfLedger& ledger, core::OpLog& log) {
+    static Task run(SimEnv& env, zoo::WfLedger<>& ledger, core::OpLog& log) {
       const Pid p = env.pid();
       for (std::int64_t v = 0;; ++v) {
         ++log.started[p];

@@ -1,5 +1,6 @@
-// Real-thread zoo: the rt specialists (RtZooSnapshot, RtZooQueue,
-// RtZooLedger on genuinely abortable try-lock registers) and the rt
+// Real-thread zoo: the specialists (WfSnapshot, TurnQueue, WfLedger --
+// the explorer-checked sim coroutines, instantiated on rt::RtBase's
+// try-lock abortable registers and run through rt::RtFront) and the rt
 // universal twins (RtQaUniversal over the same zoo_types.hpp specs),
 // all graded by the SAME Wing-Gong oracle as the sim twins. Real-time
 // operation intervals come from a global atomic ticket stamped at
@@ -18,7 +19,9 @@
 #include "rt/rt_qa.hpp"
 #include "verify/history.hpp"
 #include "verify/lin_oracle.hpp"
-#include "zoo/rt_zoo.hpp"
+#include "zoo/ledger.hpp"
+#include "zoo/snapshot.hpp"
+#include "zoo/turn_queue.hpp"
 #include "zoo/zoo_types.hpp"
 
 namespace tbwf::zoo {
@@ -26,6 +29,11 @@ namespace {
 
 using verify::HistoryOp;
 using verify::OpStatus;
+
+using RtSnapshot = rt::RtFront<WfSnapshot<rt::RtBase>>;
+using RtLedger = rt::RtFront<WfLedger<rt::RtBase>>;
+template <int Cap>
+using RtQueue = rt::RtFront<TurnQueue<Cap, rt::RtBase>>;
 
 // -- rt history driver ----------------------------------------------------
 
@@ -106,7 +114,7 @@ std::vector<std::vector<SnapshotType::Op>> snapshot_ops(int nthreads,
 }
 
 TEST(RtZoo, SnapshotSoloNeverBottomsAndScansExactly) {
-  RtZooSnapshot snap(1, {9});
+  RtSnapshot snap(1, {9});
   auto r = snap.invoke(0, SnapshotType::scan());
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value, (std::vector<std::int64_t>{9}));
@@ -120,7 +128,7 @@ TEST(RtZoo, SnapshotSoloNeverBottomsAndScansExactly) {
 TEST(RtZoo, SnapshotSpecialistContendedLinearizable) {
   constexpr int kThreads = 3;
   const auto initial = SnapshotType::initial(kThreads);
-  RtZooSnapshot snap(kThreads, initial);
+  RtSnapshot snap(kThreads, initial);
   const auto history =
       run_threads<SnapshotType>(snap, snapshot_ops(kThreads, 4));
   expect_linearizable<SnapshotType>(history, initial, "rt-snap-spec");
@@ -152,7 +160,7 @@ std::vector<std::vector<LedgerType::Op>> ledger_ops(int nthreads,
 }
 
 TEST(RtZoo, LedgerSoloNeverBottoms) {
-  RtZooLedger ledger(1, {});
+  RtLedger ledger(1, {});
   auto r = ledger.invoke(0, LedgerType::get(7));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value, LedgerType::kAbsent);
@@ -165,7 +173,7 @@ TEST(RtZoo, LedgerSoloNeverBottoms) {
 
 TEST(RtZoo, LedgerSpecialistContendedLinearizable) {
   constexpr int kThreads = 3;
-  RtZooLedger ledger(kThreads, {});
+  RtLedger ledger(kThreads, {});
   const auto history = run_threads<LedgerType>(ledger, ledger_ops(kThreads, 4));
   expect_linearizable<LedgerType>(history, {}, "rt-ledger-spec");
 }
@@ -182,7 +190,7 @@ TEST(RtZoo, LedgerUniversalContendedLinearizable) {
 using RtQ4 = BoundedQueueOf<4>;
 
 TEST(RtZoo, QueueSoloFifoFullEmptyExact) {
-  RtZooQueue<2> q(1);
+  RtQueue<2> q(1, {});
   using Q = BoundedQueueOf<2>;
   auto r = q.invoke(0, Q::enqueue(1));
   ASSERT_TRUE(r.ok());
@@ -234,7 +242,7 @@ void check_rt_conservation(const std::vector<HistoryOp<RtQ4>>& history) {
 
 TEST(RtZoo, QueueSpecialistContendedLinearizable) {
   constexpr int kThreads = 3;
-  RtZooQueue<4> q(kThreads);
+  RtQueue<4> q(kThreads, {});
   const auto history = run_threads<RtQ4>(q, queue_ops(kThreads, 4));
   check_rt_conservation(history);
   expect_linearizable<RtQ4>(history, {}, "rt-queue-spec");

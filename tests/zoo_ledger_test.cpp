@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "registers/abort_policy.hpp"
 #include "sim/schedule.hpp"
 #include "verify/explorer.hpp"
 #include "zoo/ledger.hpp"
@@ -25,13 +26,13 @@ using verify::Explorer;
 using verify::ExplorerOptions;
 using verify::OpStatus;
 
-using SpecRun = ZooExploredRun<LedgerType, WfLedger>;
+using SpecRun = ZooExploredRun<LedgerType, WfLedger<>>;
 using UniLedger = UniversalZoo<LedgerType>;
 using UniRun = ZooExploredRun<LedgerType, UniLedger>;
 
 SpecRun::Maker specialist_maker(LedgerMutations m = {}) {
   return [m](sim::World& w, const LedgerType::State& init) {
-    auto obj = std::make_unique<WfLedger>(w, init);
+    auto obj = std::make_unique<WfLedger<>>(w, init);
     obj->set_mutations(m);
     return obj;
   };
@@ -54,7 +55,7 @@ ExplorerOptions bounds(const char* name, int max_runs = 60000) {
 // -- explorer at n=2, n=3, both twins -------------------------------------
 
 TEST(ZooLedger, SpecialistExplorerCleanN2) {
-  Explorer explorer(make_zoo_run_factory<LedgerType, WfLedger>(
+  Explorer explorer(make_zoo_run_factory<LedgerType, WfLedger<>>(
                         ledger_explore_config(2), specialist_maker()),
                     bounds("zoo-ledger-spec-n2"));
   const ExploreResult result = explorer.explore();
@@ -82,7 +83,7 @@ TEST(ZooLedger, UniversalExplorerCleanN2) {
 }
 
 TEST(ZooLedger, SpecialistExplorerCleanN3) {
-  Explorer explorer(make_zoo_run_factory<LedgerType, WfLedger>(
+  Explorer explorer(make_zoo_run_factory<LedgerType, WfLedger<>>(
                         ledger_explore_config(3), specialist_maker()),
                     bounds("zoo-ledger-spec-n3", 8000));
   const ExploreResult result = explorer.explore();
@@ -107,6 +108,37 @@ TEST(ZooLedger, UniversalExplorerCleanN3) {
       << result.summary();
 }
 
+// -- abortable registers: the abort paths the threads run ----------------
+
+// The specialist on abortable registers whose every contended operation
+// aborts: once with aborted writes that always land, once with ones that
+// never do. Alternate is left out -- its flip state outlives a run, so
+// replayed schedules would not repeat.
+TEST(ZooLedger, SpecialistAbortableExplorerCleanN2) {
+  using Effect = registers::AlwaysAbortPolicy::Effect;
+  using Spec = WfLedger<qa::AbortableBase>;
+  const std::pair<Effect, const char*> cases[] = {
+      {Effect::Always,
+       "runs=49 steps=565 distinct_states=141 sleep_skips=65 "
+       "preemption_skips=0 state_prunes=17"},
+      {Effect::Never,
+       "runs=49 steps=565 distinct_states=141 sleep_skips=65 "
+       "preemption_skips=0 state_prunes=17"},
+  };
+  for (const auto& [effect, pin] : cases) {
+    registers::AlwaysAbortPolicy policy(effect);
+    Explorer explorer(
+        make_zoo_run_factory<LedgerType, Spec>(
+            ledger_explore_config(2),
+            make_with_policy<LedgerType, Spec>(&policy)),
+        bounds("zoo-ledger-spec-abortable-n2"));
+    const ExploreResult result = explorer.explore();
+    EXPECT_EQ(result.stats.summary(), pin);
+    EXPECT_FALSE(result.violation_found) << result.summary();
+    EXPECT_TRUE(result.clean()) << result.summary();
+  }
+}
+
 // -- mutation: stale timestamps -> sequential puts reorder ----------------
 
 // p0 puts twice (local ts 1, 2 under the mutation); p1 puts once
@@ -123,7 +155,7 @@ ZooExploreConfig<LedgerType> reorder_config() {
 }
 
 TEST(ZooLedger, MutationStaleTsCaught) {
-  Explorer explorer(make_zoo_run_factory<LedgerType, WfLedger>(
+  Explorer explorer(make_zoo_run_factory<LedgerType, WfLedger<>>(
                         reorder_config(),
                         specialist_maker(LedgerMutations{.stale_ts = true})),
                     bounds("zoo-ledger-stalets"));
@@ -139,7 +171,7 @@ TEST(ZooLedger, MutationStaleTsCaught) {
 }
 
 TEST(ZooLedger, IntactLedgerCleanAtIdenticalBounds) {
-  Explorer explorer(make_zoo_run_factory<LedgerType, WfLedger>(
+  Explorer explorer(make_zoo_run_factory<LedgerType, WfLedger<>>(
                         reorder_config(), specialist_maker()),
                     bounds("zoo-ledger-ts-intact"));
   const ExploreResult result = explorer.explore();
@@ -154,7 +186,7 @@ TEST(ZooLedger, IntactLedgerCleanAtIdenticalBounds) {
 
 TEST(ZooLedger, SpecialistEveryFateOk) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const auto outcome = run_zoo_workload<LedgerType, WfLedger>(
+    const auto outcome = run_zoo_workload<LedgerType, WfLedger<>>(
         ledger_explore_config(3, seed), specialist_maker());
     ASSERT_TRUE(outcome.completed) << "seed " << seed;
     for (const auto& op : outcome.history) {
@@ -191,7 +223,7 @@ std::vector<Pair> ok_puts(const ZooRunOutcome<S>& outcome) {
 TEST(ZooLedger, DifferentialSpecialistVsUniversal) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     auto config = ledger_explore_config(2, seed);
-    const auto spec = run_zoo_workload<LedgerType, WfLedger>(
+    const auto spec = run_zoo_workload<LedgerType, WfLedger<>>(
         config, specialist_maker());
     const auto uni = run_zoo_workload<LedgerType, UniLedger>(
         config, universal_maker());

@@ -9,8 +9,10 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "registers/abort_policy.hpp"
 #include "sim/schedule.hpp"
 #include "verify/explorer.hpp"
 #include "zoo/turn_queue.hpp"
@@ -135,6 +137,36 @@ TEST(ZooQueue, UniversalExplorerCleanN3) {
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_TRUE(result.clean() || result.stats.runs >= 5000)
       << result.summary();
+}
+
+// -- abortable registers: the abort paths the threads run ----------------
+
+// The specialist on abortable registers whose every contended operation
+// aborts: once with aborted writes that always land, once with ones that
+// never do. Alternate is left out -- its flip state outlives a run, so
+// replayed schedules would not repeat.
+TEST(ZooQueue, SpecialistAbortableExplorerCleanN2) {
+  using Effect = registers::AlwaysAbortPolicy::Effect;
+  using Spec = TurnQueue<2, qa::AbortableBase>;
+  const std::pair<Effect, const char*> cases[] = {
+      {Effect::Always,
+       "runs=135 steps=2148 distinct_states=415 sleep_skips=162 "
+       "preemption_skips=0 state_prunes=56"},
+      {Effect::Never,
+       "runs=117 steps=1716 distinct_states=353 sleep_skips=137 "
+       "preemption_skips=0 state_prunes=48"},
+  };
+  for (const auto& [effect, pin] : cases) {
+    registers::AlwaysAbortPolicy policy(effect);
+    Explorer explorer(
+        make_zoo_run_factory<Q2, Spec>(
+            queue_explore_config<2>(2), make_with_policy<Q2, Spec>(&policy)),
+        bounds("zoo-queue-spec-abortable-n2"));
+    const ExploreResult result = explorer.explore();
+    EXPECT_EQ(result.stats.summary(), pin);
+    EXPECT_FALSE(result.violation_found) << result.summary();
+    EXPECT_TRUE(result.clean()) << result.summary();
+  }
 }
 
 // -- mutation: dropped claim fence -> duplicated dequeue ------------------

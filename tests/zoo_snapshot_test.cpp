@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "core/conformance.hpp"
 #include "core/tbwf_object.hpp"
+#include "registers/abort_policy.hpp"
 #include "sim/faultplan.hpp"
 #include "sim/schedule.hpp"
 #include "verify/explorer.hpp"
@@ -27,7 +29,7 @@ using verify::ExplorerOptions;
 using verify::HistoryOp;
 using verify::OpStatus;
 
-using SpecRun = ZooExploredRun<SnapshotType, WfSnapshot>;
+using SpecRun = ZooExploredRun<SnapshotType, WfSnapshot<>>;
 using UniSnap = UniversalZoo<SnapshotType>;
 using UniRun = ZooExploredRun<SnapshotType, UniSnap>;
 using BatSnap = BatchedZoo<SnapshotType>;
@@ -35,7 +37,7 @@ using BatRun = ZooExploredRun<SnapshotType, BatSnap>;
 
 SpecRun::Maker specialist_maker(SnapshotMutations m = {}) {
   return [m](sim::World& w, const SnapshotType::State& init) {
-    auto obj = std::make_unique<WfSnapshot>(w, init);
+    auto obj = std::make_unique<WfSnapshot<>>(w, init);
     obj->set_mutations(m);
     return obj;
   };
@@ -67,7 +69,7 @@ ExplorerOptions bounds(const char* name, int max_runs = 60000) {
 // -- explorer at n=2, n=3, both twins -------------------------------------
 
 TEST(ZooSnapshot, SpecialistExplorerCleanN2) {
-  Explorer explorer(make_zoo_run_factory<SnapshotType, WfSnapshot>(
+  Explorer explorer(make_zoo_run_factory<SnapshotType, WfSnapshot<>>(
                         snapshot_explore_config(2), specialist_maker()),
                     bounds("zoo-snap-spec-n2"));
   const ExploreResult result = explorer.explore();
@@ -108,7 +110,7 @@ TEST(ZooSnapshot, BatchedExplorerCleanN2) {
 }
 
 TEST(ZooSnapshot, SpecialistExplorerCleanN3) {
-  Explorer explorer(make_zoo_run_factory<SnapshotType, WfSnapshot>(
+  Explorer explorer(make_zoo_run_factory<SnapshotType, WfSnapshot<>>(
                         snapshot_explore_config(3), specialist_maker()),
                     bounds("zoo-snap-spec-n3", 8000));
   const ExploreResult result = explorer.explore();
@@ -133,6 +135,37 @@ TEST(ZooSnapshot, UniversalExplorerCleanN3) {
       << result.summary();
 }
 
+// -- abortable registers: the abort paths the threads run ----------------
+
+// The specialist on abortable registers whose every contended operation
+// aborts: once with aborted writes that always land, once with ones that
+// never do. Alternate is left out -- its flip state outlives a run, so
+// replayed schedules would not repeat.
+TEST(ZooSnapshot, SpecialistAbortableExplorerCleanN2) {
+  using Effect = registers::AlwaysAbortPolicy::Effect;
+  using Spec = WfSnapshot<qa::AbortableBase>;
+  const std::pair<Effect, const char*> cases[] = {
+      {Effect::Always,
+       "runs=72 steps=1062 distinct_states=226 sleep_skips=109 "
+       "preemption_skips=0 state_prunes=25"},
+      {Effect::Never,
+       "runs=72 steps=1065 distinct_states=230 sleep_skips=109 "
+       "preemption_skips=0 state_prunes=24"},
+  };
+  for (const auto& [effect, pin] : cases) {
+    registers::AlwaysAbortPolicy policy(effect);
+    Explorer explorer(
+        make_zoo_run_factory<SnapshotType, Spec>(
+            snapshot_explore_config(2),
+            make_with_policy<SnapshotType, Spec>(&policy)),
+        bounds("zoo-snap-spec-abortable-n2"));
+    const ExploreResult result = explorer.explore();
+    EXPECT_EQ(result.stats.summary(), pin);
+    EXPECT_FALSE(result.violation_found) << result.summary();
+    EXPECT_TRUE(result.clean()) << result.summary();
+  }
+}
+
 // -- mutation 1: dropped embedded scan -> non-linearizable ----------------
 
 // The scanner-vs-double-updater workload: p0 only scans; p1 updates
@@ -151,7 +184,7 @@ ZooExploreConfig<SnapshotType> borrow_config() {
 
 TEST(ZooSnapshot, MutationDropEmbeddedScanCaught) {
   Explorer explorer(
-      make_zoo_run_factory<SnapshotType, WfSnapshot>(
+      make_zoo_run_factory<SnapshotType, WfSnapshot<>>(
           borrow_config(),
           specialist_maker(SnapshotMutations{.drop_embedded_scan = true})),
       bounds("zoo-snap-dropscan"));
@@ -167,7 +200,7 @@ TEST(ZooSnapshot, MutationDropEmbeddedScanCaught) {
 }
 
 TEST(ZooSnapshot, IntactSnapshotCleanAtIdenticalBounds) {
-  Explorer explorer(make_zoo_run_factory<SnapshotType, WfSnapshot>(
+  Explorer explorer(make_zoo_run_factory<SnapshotType, WfSnapshot<>>(
                         borrow_config(), specialist_maker()),
                     bounds("zoo-snap-intact"));
   const ExploreResult result = explorer.explore();
@@ -193,12 +226,12 @@ core::ConformanceReport starvation_run(bool never_borrow) {
   sim::World world(n, std::make_unique<sim::ScriptedSchedule>(
                           std::vector<sim::Pid>{1, 1, 1, 1, 1, 1, 0, 0},
                           /*loop_forever=*/true));
-  WfSnapshot snap(world, SnapshotType::initial(n));
+  WfSnapshot<> snap(world, SnapshotType::initial(n));
   snap.set_mutations(SnapshotMutations{.never_borrow = never_borrow});
   core::OpLog log(n);
 
   struct Worker {
-    static sim::Task scans(sim::SimEnv& env, WfSnapshot& snap,
+    static sim::Task scans(sim::SimEnv& env, WfSnapshot<>& snap,
                            core::OpLog& log) {
       for (;;) {
         ++log.started[0];
@@ -206,7 +239,7 @@ core::ConformanceReport starvation_run(bool never_borrow) {
         log.completions[0].push_back(env.now());
       }
     }
-    static sim::Task updates(sim::SimEnv& env, WfSnapshot& snap,
+    static sim::Task updates(sim::SimEnv& env, WfSnapshot<>& snap,
                              core::OpLog& log) {
       std::int64_t v = 0;
       for (;;) {
@@ -270,7 +303,7 @@ SnapshotType::State expected_final(
 TEST(ZooSnapshot, DifferentialSpecialistVsUniversal) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     auto config = snapshot_explore_config(2, 2, seed);
-    const auto spec = run_zoo_workload<SnapshotType, WfSnapshot>(
+    const auto spec = run_zoo_workload<SnapshotType, WfSnapshot<>>(
         config, specialist_maker());
     const auto uni = run_zoo_workload<SnapshotType, UniSnap>(
         config, universal_maker());
@@ -304,7 +337,7 @@ TEST(ZooSnapshot, SoloOpsNeverBottom) {
     const auto outcome =
         universal ? run_zoo_workload<SnapshotType, UniSnap>(config,
                                                             universal_maker())
-                  : run_zoo_workload<SnapshotType, WfSnapshot>(
+                  : run_zoo_workload<SnapshotType, WfSnapshot<>>(
                         config, specialist_maker());
     ASSERT_TRUE(outcome.completed);
     for (const auto& op : outcome.history) {

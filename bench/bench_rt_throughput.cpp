@@ -23,14 +23,15 @@
 // construction is genuinely broken.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_json_gbench.hpp"
 
 #include "qa/sequential_type.hpp"
 #include "rt/rt_baselines.hpp"
 #include "rt/rt_qa.hpp"
-#include "rt/rt_qa_batched.hpp"
 #include "rt/rt_tbwf.hpp"
 
 namespace {
@@ -232,5 +233,12 @@ int main(int argc, char** argv) {
       // the gated surface.
       {{"BM_UnbatchedQaCounter", "before"},
        {"BM_TbwfUniversalObject", "before"}},
-      derive_batching_rows);
+      [](tbwf::bench::JsonReporter& json,
+         const std::vector<tbwf::bench::GBenchRow>& rows) {
+        // Contended rows depend on how many cores the threads share, so
+        // the regression check compares only runs with equal counts.
+        json.set_meta("cores",
+                      std::to_string(std::thread::hardware_concurrency()));
+        derive_batching_rows(json, rows);
+      });
 }

@@ -25,7 +25,6 @@
 
 #include "bench_util.hpp"
 #include "rt/rt_qa.hpp"
-#include "rt/rt_qa_batched.hpp"
 #include "sim/schedule.hpp"
 #include "sim/world.hpp"
 #include "zoo/ledger.hpp"

@@ -1,5 +1,5 @@
 // Batched fast-path/slow-path throughput engine in front of the QA
-// universal construction (sim backend).
+// universal construction, for both backends.
 //
 // The plain construction (qa_universal.hpp) pays one full promise /
 // accept / decide round per operation, so n contending processes fight
@@ -23,8 +23,16 @@
 //              per batch epoch (core/conformance,
 //              check_batch_conformance).
 //
+// Producer lanes: announce cells belong to lanes, not processes. There
+// are Options::lanes of them (default n); lane p is process p's own,
+// and the surfaces invoke / query / apply use it. A process may drive
+// further lanes through announce() / collect(), one staged op per lane,
+// so one combine round drains every staged lane -- many producers, few
+// combiners, the case the batching argument is about. Only the n
+// processes run the slot protocol; the batched state is per lane.
+//
 // Exactly-once demultiplexing: the batched object's state carries, per
-// announcer, the highest applied uid and its result (done_uid /
+// lane, the highest applied uid and its result (done_uid /
 // done_result). apply() skips any item whose uid is already covered, so
 // re-draining a stale announce, adopting a floating batch, or two
 // combiners racing on overlapping drains are all idempotent -- the
@@ -39,9 +47,18 @@
 // drained the announce before the tombstone decided (their floating
 // accepts die at sealed slots, and their re-proposals recompute against
 // a state that already covers u).
+//
+// The engine is written over a base-register policy (qa_universal.hpp),
+// so rt::RtQaBatched (rt/rt_qa.hpp) runs these very coroutines on
+// threads. Per-process and per-lane state live in cache-line-aligned
+// slices, each touched by one thread only. The batch journal is kept
+// only on the simulator's policies (Base::kExplored): its announce
+// index and commit log are written by every process.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -54,16 +71,15 @@
 #include "qa/sequential_type.hpp"
 #include "registers/abort_policy.hpp"
 #include "sim/co.hpp"
-#include "sim/env.hpp"
-#include "sim/world.hpp"
 #include "util/assert.hpp"
+#include "util/cacheline.hpp"
 
 namespace tbwf::qa {
 
 /// One announced operation inside a BatchOp.
 template <Sequential S>
 struct BatchItem {
-  sim::Pid owner = sim::kNoPid;
+  sim::Pid owner = sim::kNoPid;  ///< the announcing lane
   std::uint64_t uid = 0;
   typename S::Op op{};
   /// Mark `uid` consumed WITHOUT applying: the owner's query seals F.
@@ -127,6 +143,8 @@ struct BatchMutations {
 template <Sequential S, class Base = AtomicBase>
 class BatchedQaUniversal {
  public:
+  using Env = typename Base::Env;
+  using Home = typename Base::Home;
   using State = typename S::State;
   using Op = typename S::Op;
   using Result = typename S::Result;
@@ -136,105 +154,173 @@ class BatchedQaUniversal {
   using InnerStateRec = typename Inner::StateRec;
   using InnerRecord = typename Inner::Record;
 
+  /// Patience of a process that never combines for its own ops: it is
+  /// carried entirely by others' helping (set_patience).
+  static constexpr int kNeverCombine = std::numeric_limits<int>::max();
+
   struct Options {
     /// Frontier polls an announcer grants the combiners before running
     /// the slot protocol itself (the helping slow-path trigger B).
     int patience = 8;
     /// Inner slot attempts in invoke()'s bounded slow path.
     int combine_attempts = 2;
+    /// Announce lanes (0 = one per process); at least n.
+    int lanes = 0;
   };
 
-  /// Single-writer announce cell of process p.
+  /// Single-writer announce cell of one lane.
   struct Announce {
     std::uint64_t uid = 0;
     bool has_op = false;
     Op op{};
   };
 
-  BatchedQaUniversal(sim::World& world, State initial,
+  /// What collect() hands back: its result at once when a decided state
+  /// the caller already holds has the lane's op, otherwise the
+  /// coroutine that polls and combines until it is applied.
+  class Collect {
+   public:
+    explicit Collect(Result hit) : hit_(std::move(hit)) {}
+    explicit Collect(sim::Co<Result> wait) : wait_(std::move(wait)) {}
+
+    bool await_ready() const noexcept { return hit_.has_value(); }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
+      return wait_->await_suspend(h);
+    }
+    Result await_resume() {
+      return hit_ ? std::move(*hit_) : wait_->await_resume();
+    }
+    /// Outside the simulator: the hit, or the wait run to completion on
+    /// the calling thread (sim::Co::run_inline).
+    Result run_inline() && {
+      return hit_ ? std::move(*hit_) : std::move(*wait_).run_inline();
+    }
+
+   private:
+    std::optional<Result> hit_;
+    std::optional<sim::Co<Result>> wait_;
+  };
+
+  BatchedQaUniversal(Home& home, State initial,
                      registers::AbortPolicy* policy = nullptr,
                      Options options = {})
-      : world_(world),
-        n_(world.n()),
+      : home_(home),
+        n_(Base::n(home)),
+        lanes_(options.lanes > 0 ? options.lanes : n_),
         options_(options),
-        inner_(world, make_genesis(world.n(), std::move(initial)), policy) {
-    ann_.reserve(n_);
-    for (sim::Pid p = 0; p < n_; ++p) {
+        inner_(home, make_genesis(lanes_, std::move(initial)), policy),
+        board_(home),
+        local_(n_),
+        lane_(lanes_) {
+    TBWF_ASSERT(lanes_ >= n_, "each process needs its own lane");
+    ann_.reserve(lanes_);
+    for (int l = 0; l < lanes_; ++l) {
+      // A lane beyond n has no fixed writer: whichever process drives it.
       ann_.push_back(Base::template make<Announce>(
-          world, "QaAnn[" + std::to_string(p) + "]", Announce{}, policy, p));
+          home, "QaAnn[" + std::to_string(l) + "]", Announce{}, policy,
+          l < n_ ? l : sim::kNoPid));
     }
-    ann_mine_.assign(n_, Announce{});
-    patience_.assign(n_, options_.patience);
-    uid_counter_.assign(n_, 0);
-    last_uid_.assign(n_, 0);
-    ops_started_.assign(n_, 0);
-    combines_.assign(n_, 0);
-    fast_completions_.assign(n_, 0);
-    announce_writes_.assign(n_, 0);
-    inner_.set_decide_hook(
-        [this](sim::Pid decider, sim::Step step, const InnerStateRec& prev,
-               const InnerStateRec& decided) {
-          record_commit(decider, step, prev, decided);
-        });
+    for (Local& me : local_) me.patience = options_.patience;
+    if constexpr (Base::kExplored) {
+      inner_.set_decide_hook(
+          [this](sim::Pid decider, sim::Step step, const InnerStateRec& prev,
+                 const InnerStateRec& decided) {
+            record_commit(decider, step, prev, decided);
+          });
+    }
   }
+  /// The decide hook refers to this.
+  BatchedQaUniversal(const BatchedQaUniversal&) = delete;
+  BatchedQaUniversal& operator=(const BatchedQaUniversal&) = delete;
 
   /// Saturating surface: announce once, then wait -- polling the
   /// frontier and combining every `patience` polls -- until the op is
   /// applied. Exactly-once by uid dedup; never returns bottom. Per-op
   /// completion is bounded whenever any process keeps committing
   /// batches (helping), and solo the caller combines for itself.
-  sim::Co<Result> apply(sim::SimEnv& env, Op op) {
+  sim::Co<Result> apply(Env& env, Op op) {
     const sim::Pid p = env.pid();
-    const std::uint64_t uid = announce(p, std::move(op), env.now());
     // Single-writer cell: only an abortable base can make this spin,
     // and only under a concurrent combiner's drain read.
-    while (!co_await Base::template write<Announce>(env, ann_[p],
-                                                    ann_mine_[p])) {
-      co_await env.yield();
+    bool landed = co_await announce(env, p, std::move(op));
+    while (!landed) {
+      co_await Base::yield(env);
+      landed = co_await write_announce(env, p);
     }
-    ++announce_writes_[p];
-    int polls = 0;
-    bool combined = false;
-    for (;;) {
-      auto fr = co_await inner_.read_frontier(env);
-      if (fr && fr->state.done_uid[p] == uid) {
-        TBWF_ASSERT(!fr->state.done_void[p],
-                    "apply() op voided without a query tombstone");
-        if (!combined) ++fast_completions_[p];
-        co_return fr->state.done_result[p];
-      }
-      if (++polls > patience_[p]) {
-        polls = 0;
-        combined = true;
-        (void)co_await combine_once(env, /*tombstone_uid=*/0);
+    const Result result = co_await collect(env, p);
+    co_return result;
+  }
+
+  /// Pipelined surface, stage 1: stage `op` on `lane` and issue its
+  /// announce write. The awaiter yields true iff the write landed;
+  /// write_announce() issues it again. A lane holds one staged op, and
+  /// is collect()ed before it is staged again.
+  auto announce(Env& env, int lane, Op op) {
+    Lane& slot = lane_[lane];
+    const std::uint64_t uid =
+        ++slot.uid_counter * static_cast<std::uint64_t>(lanes_) +
+        static_cast<std::uint64_t>(lane);
+    slot.last_uid = uid;
+    ++local_[env.pid()].ops_started;
+    slot.mine = Announce{uid, true, std::move(op)};
+    if constexpr (Base::kExplored) journal_announce(lane, uid, env.now());
+    return write_announce(env, lane);
+  }
+
+  /// Writes the lane's staged announce (again).
+  auto write_announce(Env& env, int lane) {
+    ++local_[env.pid()].announce_writes;
+    return Base::template write<Announce>(env, ann_[lane], lane_[lane].mine);
+  }
+
+  /// Pipelined surface, stage 2: the result of the lane's staged op,
+  /// once applied (never bottom). A hit in a decided state the caller
+  /// already holds answers at once, with no step and no frame; in
+  /// apply() it cannot hit, since no step of the caller runs between
+  /// announce and collect.
+  Collect collect(Env& env, int lane) {
+    const sim::Pid p = env.pid();
+    const std::uint64_t uid = lane_[lane].last_uid;
+    for (const InnerStateRec* known :
+         {inner_.local_decided(p).get(), board_.seen(p)}) {
+      if (known != nullptr && known->state.done_uid[lane] == uid) {
+        TBWF_ASSERT(!known->state.done_void[lane],
+                    "collect() op voided without a query tombstone");
+        ++local_[p].fast_completions;
+        return Collect(known->state.done_result[lane]);
       }
     }
+    return Collect(wait_applied(env, lane, uid));
   }
 
   /// T_QA surface: bounded; may return bottom under contention.
-  sim::Co<Response> invoke(sim::SimEnv& env, Op op) {
+  sim::Co<Response> invoke(Env& env, Op op) {
     const sim::Pid p = env.pid();
-    const std::uint64_t uid = announce(p, std::move(op), env.now());
-    if (!co_await Base::template write<Announce>(env, ann_[p],
-                                                 ann_mine_[p])) {
+    Local& me = local_[p];
+    const bool landed = co_await announce(env, p, std::move(op));
+    if (!landed) {
       // Aborted announce write (abortable base): it may or may not be
       // visible to combiners, so the fate is open -- bottom; query
       // seals it with a tombstone.
       co_return Response::make_bottom();
     }
-    ++announce_writes_[p];
-    for (int poll = 0; poll < patience_[p]; ++poll) {
-      auto fr = co_await inner_.read_frontier(env);
+    const std::uint64_t uid = lane_[p].last_uid;
+    for (int poll = 0; poll < me.patience; ++poll) {
+      const InnerStateRec* fr = co_await poll_frontier(env);
       if (fr) {
         if (auto r = resolve(*fr, p, uid)) {
-          ++fast_completions_[p];
+          ++me.fast_completions;
           co_return *r;
         }
       }
+      // On threads, lead a combine at once if nobody does; the slow
+      // path below ends the lead.
+      if (options_.combine_attempts > 0 && board_.lead(env)) break;
     }
     for (int attempt = 0; attempt < options_.combine_attempts; ++attempt) {
-      (void)co_await combine_once(env, /*tombstone_uid=*/0);
-      auto fr = co_await inner_.read_frontier(env);
+      (void)co_await combine_once(env, /*tombstone_uid=*/0, p);
+      board_.offer(env, inner_.local_decided(p));
+      const InnerStateRec* fr = co_await inner_.read_frontier(env);
       if (fr) {
         if (auto r = resolve(*fr, p, uid)) co_return *r;
       }
@@ -243,17 +329,18 @@ class BatchedQaUniversal {
   }
 
   /// Fate of this process's last invoke (Ok / F / bottom); F is final.
-  sim::Co<Response> query(sim::SimEnv& env) {
+  sim::Co<Response> query(Env& env) {
     const sim::Pid p = env.pid();
-    const std::uint64_t uid = last_uid_[p];
+    const std::uint64_t uid = lane_[p].last_uid;
     if (uid == 0) co_return Response::make_not_applied();
-    auto fr = co_await inner_.read_frontier(env);
+    const InnerStateRec* fr = co_await inner_.read_frontier(env);
     if (fr) {
       if (auto r = resolve(*fr, p, uid)) co_return *r;
     }
     // Seal the fate (see file comment): a decided batch carrying our
     // tombstone makes the verdict final either way.
-    const bool sealed = co_await combine_once(env, uid);
+    const bool sealed = co_await combine_once(env, uid, p);
+    board_.offer(env, inner_.local_decided(p));
     fr = co_await inner_.read_frontier(env);
     if (sealed && fr) {
       if (auto r = resolve(*fr, p, uid)) co_return *r;
@@ -262,89 +349,140 @@ class BatchedQaUniversal {
   }
 
   // -- introspection (non-step) ----------------------------------------------
+  // Per-process and per-lane values are unsynchronized on threads: read
+  // them from the owning thread or after joining it.
   Inner& inner() { return inner_; }
   const Inner& inner() const { return inner_; }
   int n() const { return n_; }
+  int lanes() const { return lanes_; }
+  /// Announces and commits, on the simulator's policies (empty on
+  /// threads).
   const core::BatchLog& batch_log() const { return log_; }
-  std::uint64_t ops_started(sim::Pid p) const { return ops_started_[p]; }
+  std::uint64_t ops_started(sim::Pid p) const { return local_[p].ops_started; }
   /// Slot-protocol runs this process performed as a combiner.
-  std::uint64_t combines(sim::Pid p) const { return combines_[p]; }
+  std::uint64_t combines(sim::Pid p) const { return local_[p].combines; }
   /// Ops that completed purely by helping (no own combine).
   std::uint64_t fast_completions(sim::Pid p) const {
-    return fast_completions_[p];
+    return local_[p].fast_completions;
   }
   /// Shared-register writes p issued: announce writes plus the inner
   /// construction's promise/accept/decide publishes (E19 accounting).
   std::uint64_t shared_writes(sim::Pid p) const {
-    return announce_writes_[p] + inner_.publishes(p);
+    return local_[p].announce_writes + inner_.publishes(p);
   }
-  std::uint64_t last_real_uid(sim::Pid p) const { return last_uid_[p]; }
-  const Announce& peek_announce(sim::Pid p) const {
-    return world_.template peek<Announce>(ann_[p].idx);
+  std::uint64_t last_real_uid(sim::Pid p) const { return lane_[p].last_uid; }
+  decltype(auto) peek_announce(int lane) const {
+    return Base::template peek<Announce>(home_, ann_[lane]);
   }
-  const Announce& local_announce(sim::Pid p) const { return ann_mine_[p]; }
+  const Announce& local_announce(int lane) const { return lane_[lane].mine; }
 
   void set_mutations(BatchMutations mutations) { mutations_ = mutations; }
   const BatchMutations& mutations() const { return mutations_; }
-  /// Per-process patience override (helping/starvation experiments).
-  void set_patience(sim::Pid p, int patience) { patience_[p] = patience; }
+  /// Per-process patience override (helping/starvation experiments);
+  /// on threads, set it before the thread starts issuing ops.
+  /// kNeverCombine makes p a pure waiter.
+  void set_patience(sim::Pid p, int patience) {
+    local_[p].patience = patience;
+  }
 
  private:
-  static typename BS::State make_genesis(int n, State initial) {
+  /// Process p's private state; only p touches it.
+  struct alignas(util::kCacheLineSize) Local {
+    int patience = 0;
+    std::uint64_t ops_started = 0;
+    std::uint64_t combines = 0;
+    std::uint64_t fast_completions = 0;
+    std::uint64_t announce_writes = 0;
+  };
+
+  /// A lane's producer state; only the process driving the lane touches
+  /// it.
+  struct alignas(util::kCacheLineSize) Lane {
+    /// Mirror of what the lane last tried to announce (== cell content
+    /// under an atomic base; the combiner's self-drain uses this, never
+    /// a read).
+    Announce mine;
+    std::uint64_t uid_counter = 0;
+    std::uint64_t last_uid = 0;
+  };
+
+  static typename BS::State make_genesis(int lanes, State initial) {
     typename BS::State genesis;
     genesis.inner = std::move(initial);
-    genesis.done_uid.assign(n, 0);
-    genesis.done_void.assign(n, 0);
-    genesis.done_result.assign(n, Result{});
+    genesis.done_uid.assign(lanes, 0);
+    genesis.done_void.assign(lanes, 0);
+    genesis.done_result.assign(lanes, Result{});
     return genesis;
   }
 
-  std::uint64_t announce(sim::Pid p, Op op, sim::Step now) {
-    const std::uint64_t uid = ++uid_counter_[p] * n_ + p;
-    last_uid_[p] = uid;
-    ++ops_started_[p];
-    ann_mine_[p] = Announce{uid, true, std::move(op)};
-    core::BatchAnnounceEvent ev;
-    ev.owner = p;
-    ev.uid = uid;
-    ev.announced_at = now;
-    announce_index_[uid] = log_.announces.size();
-    log_.announces.push_back(std::move(ev));
-    return uid;
+  std::optional<Response> resolve(const InnerStateRec& fr, int lane,
+                                  std::uint64_t uid) const {
+    if (fr.state.done_uid[lane] != uid) return std::nullopt;
+    if (fr.state.done_void[lane]) return Response::make_not_applied();
+    return Response::make_ok(fr.state.done_result[lane]);
   }
 
-  std::optional<Response> resolve(const InnerStateRec& fr, sim::Pid p,
-                                  std::uint64_t uid) const {
-    if (fr.state.done_uid[p] != uid) return std::nullopt;
-    if (fr.state.done_void[p]) return Response::make_not_applied();
-    return Response::make_ok(fr.state.done_result[p]);
+  /// A waiter's poll: the board's latest decided state, or (in the
+  /// simulator) a read pass over the records.
+  auto poll_frontier(Env& env) {
+    return board_.poll(env, [this, &env] { return inner_.read_frontier(env); });
+  }
+
+  /// collect()'s slow path: poll, and combine every `patience` polls or
+  /// whenever the board says no combine is led, until the lane's op
+  /// `uid` is applied.
+  sim::Co<Result> wait_applied(Env& env, int lane, std::uint64_t uid) {
+    const sim::Pid p = env.pid();
+    Local& me = local_[p];
+    int polls = 0;
+    bool combined = false;
+    for (;;) {
+      const InnerStateRec* fr = co_await poll_frontier(env);
+      if (fr && fr->state.done_uid[lane] == uid) {
+        TBWF_ASSERT(!fr->state.done_void[lane],
+                    "apply() op voided without a query tombstone");
+        if (!combined) ++me.fast_completions;
+        co_return fr->state.done_result[lane];
+      }
+      if (++polls > me.patience ||
+          (me.patience != kNeverCombine && board_.lead(env))) {
+        polls = 0;
+        combined = true;
+        (void)co_await combine_once(env, /*tombstone_uid=*/0, lane);
+        board_.offer(env, inner_.local_decided(p));
+      }
+    }
   }
 
   /// Drain the announce array against the current frontier and commit
-  /// one batch through the inner construction. Returns true iff a batch
-  /// containing this caller's item (op or tombstone) decided, or there
-  /// was nothing pending.
-  sim::Co<bool> combine_once(sim::SimEnv& env, std::uint64_t tombstone_uid) {
+  /// one batch through the inner construction. The caller's own item
+  /// for `self_lane` -- a tombstone when tombstone_uid != 0, else the
+  /// lane's staged op -- comes from the local mirror, never from a read
+  /// that could abort. Returns true iff a batch containing that item
+  /// decided, or there was nothing pending.
+  sim::Co<bool> combine_once(Env& env, std::uint64_t tombstone_uid,
+                             int self_lane) {
     const sim::Pid p = env.pid();
-    auto fr = co_await inner_.read_frontier(env);
+    const InnerStateRec* fr = co_await inner_.read_frontier(env);
     if (!fr) co_return false;
     const auto& done = fr->state.done_uid;
 
     typename BS::Op batch;
-    batch.reserve(static_cast<std::size_t>(n_) + 1);
+    batch.reserve(static_cast<std::size_t>(lanes_) + 1);
+    const Announce& mine = lane_[self_lane].mine;
     if (tombstone_uid != 0) {
-      if (tombstone_uid > done[p]) {
+      if (tombstone_uid > done[self_lane]) {
         BatchItem<S> item;
-        item.owner = p;
+        item.owner = self_lane;
         item.uid = tombstone_uid;
         item.tombstone = true;
         batch.push_back(std::move(item));
       }
-    } else if (ann_mine_[p].has_op && ann_mine_[p].uid > done[p]) {
-      batch.push_back(BatchItem<S>{p, ann_mine_[p].uid, ann_mine_[p].op});
+    } else if (mine.has_op && mine.uid > done[self_lane]) {
+      batch.push_back(BatchItem<S>{self_lane, mine.uid, mine.op});
     }
-    for (sim::Pid q = 0; q < n_; ++q) {
-      if (q == p) continue;
+    for (int q = 0; q < lanes_; ++q) {
+      if (q == self_lane) continue;
       auto a = co_await Base::template read<Announce>(env, ann_[q]);
       if (!a.has_value()) continue;  // aborted drain read: helped later
       if (a->has_op && a->uid > done[static_cast<std::size_t>(q)]) {
@@ -354,16 +492,25 @@ class BatchedQaUniversal {
     if (mutations_.drop_from_batch) {
       // Deterministic victim: the last drained non-self item.
       for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
-        if (it->owner != p && !it->tombstone) {
+        if (it->owner != self_lane && !it->tombstone) {
           it->skip_effect = true;
           break;
         }
       }
     }
     if (batch.empty()) co_return true;  // nothing pending anywhere
-    ++combines_[p];
+    ++local_[p].combines;
     const auto resp = co_await inner_.invoke(env, std::move(batch));
     co_return resp.ok();
+  }
+
+  void journal_announce(int lane, std::uint64_t uid, sim::Step now) {
+    core::BatchAnnounceEvent ev;
+    ev.owner = lane;
+    ev.uid = uid;
+    ev.announced_at = now;
+    announce_index_[uid] = log_.announces.size();
+    log_.announces.push_back(std::move(ev));
   }
 
   void record_commit(sim::Pid decider, sim::Step step,
@@ -378,7 +525,7 @@ class BatchedQaUniversal {
     commit.slot = decided.seq;
     commit.decider = decider;
     commit.step = step;
-    for (sim::Pid q = 0; q < n_; ++q) {
+    for (int q = 0; q < lanes_; ++q) {
       const auto qi = static_cast<std::size_t>(q);
       if (decided.state.done_uid[qi] == prev.state.done_uid[qi]) continue;
       ++commit.batch_size;
@@ -395,21 +542,15 @@ class BatchedQaUniversal {
     log_.commits.push_back(commit);
   }
 
-  sim::World& world_;
+  Home& home_;
   int n_;
+  int lanes_;
   Options options_;
   Inner inner_;
+  typename Base::template Board<typename Inner::StatePtr> board_;
   std::vector<typename Base::template Reg<Announce>> ann_;
-  /// Mirror of what p last tried to announce (== cell content under an
-  /// atomic base; the combiner's self-drain uses this, never a read).
-  std::vector<Announce> ann_mine_;
-  std::vector<int> patience_;
-  std::vector<std::uint64_t> uid_counter_;
-  std::vector<std::uint64_t> last_uid_;
-  std::vector<std::uint64_t> ops_started_;
-  std::vector<std::uint64_t> combines_;
-  std::vector<std::uint64_t> fast_completions_;
-  std::vector<std::uint64_t> announce_writes_;
+  std::vector<Local> local_;
+  std::vector<Lane> lane_;
   core::BatchLog log_;
   std::unordered_map<std::uint64_t, std::size_t> announce_index_;
   std::uint64_t last_logged_slot_ = 0;

@@ -194,6 +194,23 @@ struct SimBase {
                                        sim::Pid self, std::vector<Rec>& view) {
     return ReadPass<Rec, Regs>(env, regs, self, view);
   }
+
+  /// Where the batched engine's combiners leave decided states for its
+  /// waiters. The simulator keeps none, so it costs no step: a waiter
+  /// polls by running `refresh` (a read pass over the records), has
+  /// seen nothing else, and leads no combine before its patience runs
+  /// out.
+  template <class Ptr>
+  struct Board {
+    explicit Board(const Home&) {}
+    template <class Refresh>
+    auto poll(Env&, Refresh refresh) {
+      return refresh();
+    }
+    const typename Ptr::element_type* seen(sim::Pid) const { return nullptr; }
+    bool lead(Env&) { return false; }
+    void offer(Env&, const Ptr&) {}
+  };
 };
 
 /// Atomic base registers: reads/writes never abort. read/write return
@@ -390,14 +407,16 @@ class QaUniversal {
     co_return Response::make_bottom();
   }
 
-  /// One wait-free read pass over all records: the decided frontier as
-  /// currently visible to the caller (null if a base read aborted).
-  /// Read-only w.r.t. shared memory; refreshes the caller's local
-  /// decided cache. The batched engines poll this between announces.
-  sim::Co<StatePtr> read_frontier(Env& env) {
+  /// One wait-free read pass over all records, as an awaiter that takes
+  /// no frame: it yields the decided frontier as currently visible to
+  /// the caller (null if a base read aborted). Read-only w.r.t. shared
+  /// memory; refreshes the caller's local decided cache, which keeps the
+  /// state alive until the caller's next read pass or decision. The
+  /// batched engine polls this between announces.
+  auto read_frontier(Env& env) {
     const sim::Pid p = env.pid();
-    if (!co_await read_pass(env, p)) co_return nullptr;
-    co_return refresh_decided(p);
+    return FrontierRead<decltype(read_pass(env, p))>{read_pass(env, p),
+                                                     *this, p};
   }
 
   /// Hook fired at the moment a slot is decided, before the best-effort
@@ -468,6 +487,22 @@ class QaUniversal {
   const QaMutations& mutations() const { return mutations_; }
 
  private:
+  /// read_frontier()'s awaiter: the read pass, then the refresh.
+  template <class Pass>
+  struct FrontierRead {
+    Pass pass;
+    QaUniversal& self;
+    sim::Pid p;
+
+    bool await_ready() { return pass.await_ready(); }
+    decltype(auto) await_suspend(std::coroutine_handle<> h) {
+      return pass.await_suspend(h);
+    }
+    const StateRec* await_resume() {
+      return pass.await_resume() ? self.refresh_decided(p).get() : nullptr;
+    }
+  };
+
   struct Proposal {
     bool has_op = false;
     Op op{};

@@ -7,16 +7,20 @@
 // already done their operation when the coroutine awaits them, so
 // Co::run_inline() completes every operation on the calling thread with
 // no scheduler. RtFront is the front that threads call by id;
-// RtQaUniversal is it over qa::QaUniversal, and the zoo specialists
-// (zoo/snapshot.hpp, turn_queue.hpp, ledger.hpp) run through it too.
+// RtQaUniversal is it over qa::QaUniversal, RtQaBatched over the batched
+// engine qa::BatchedQaUniversal (qa/qa_batched.hpp), and the zoo
+// specialists (zoo/snapshot.hpp, turn_queue.hpp, ledger.hpp) run through
+// it too. The batched engine's one rt-only part, the board its waiters
+// poll, is RtBase::Board; the simulator's policies have an empty one.
 //
 // A base-register abort -- the cell was busy -- simply aborts the
 // attempt, exactly like the simulator's AbortableBase. Solo operations
 // never abort (an uncontended try-lock always succeeds).
 //
 // Threading model: thread t owns REG[t] (single writer) and its
-// cache-line-aligned slice of the construction's per-process state;
-// cross-thread communication goes exclusively through the registers.
+// cache-line-aligned slice of the construction's per-process state (and
+// of the batched engine's, with the lanes it drives); cross-thread
+// communication goes exclusively through the registers and the board.
 //
 // Records carry their two states by pointer, and a state is immutable
 // once its pointer is first written to a register. The publication edge
@@ -27,20 +31,24 @@
 // changed: RtAbortableReg::read_into leaves an equal view slot as it is.
 #pragma once
 
+#include <atomic>
 #include <coroutine>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "qa/qa_batched.hpp"
 #include "qa/qa_universal.hpp"
 #include "qa/sequential_type.hpp"
 #include "registers/abort_policy.hpp"
 #include "rt/rt_registers.hpp"
 #include "sim/types.hpp"
 #include "util/assert.hpp"
+#include "util/cacheline.hpp"
 
 namespace tbwf::rt {
 
@@ -124,13 +132,92 @@ struct RtBase {
     }
     return {true};
   }
+
+  /// The batched engine's board (SimBase::Board in the simulator). A
+  /// waiter polls this one cell, which combiners offer each decided
+  /// state to, not the records: a record read holds the record's
+  /// try-lock, and could abort the publish of the combiner it waits
+  /// for. Beside the cell, `latest_` names the slot of the state it
+  /// holds, so a poll that finds nothing newer reads one shared word and
+  /// takes no lock (a waiter preempted inside the cell would make the
+  /// combiner's offer abort). The board also carries an advisory gate:
+  /// a waiter that finds no combine led leads one at once, instead of
+  /// spending its patience first. The gate is only a hint: a waiter
+  /// whose patience runs out combines whether or not someone leads.
+  template <class Ptr>
+  class Board {
+   public:
+    using Rec = typename Ptr::element_type;
+
+    explicit Board(const Home& home) : seen_(home.n) {}
+
+    /// The newest state the caller has seen in the cell (null before
+    /// the first offer); the caller's slot keeps it alive until its
+    /// next poll. An unchanged cell costs no lock and no reference
+    /// count. A poll that finds nothing new while another process leads
+    /// a combine yields the CPU, which the leader may need on an
+    /// oversubscribed host.
+    template <class Refresh>
+    Done<const Rec*> poll(Env& env, Refresh&&) {
+      Ptr& seen = *seen_[env.pid()];
+      // acquire pairs with the offer's release: a newer slot means the
+      // cell already holds its state (or a newer one).
+      const std::uint64_t latest = latest_.load(std::memory_order_acquire);
+      if (latest != 0 && (seen == nullptr || seen->seq < latest)) {
+        (void)cell_.read_into(seen);  // an abort keeps the older state
+      } else {
+        const sim::Pid leader = leader_.load(std::memory_order_relaxed);
+        if (leader != sim::kNoPid && leader != env.pid()) {
+          std::this_thread::yield();
+        }
+      }
+      return {seen.get()};
+    }
+    /// What p's last poll saw; p's thread only.
+    const Rec* seen(sim::Pid p) const { return seen_[p]->get(); }
+
+    /// True iff no combine was led and the caller now leads one.
+    bool lead(Env& env) {
+      if (leader_.load(std::memory_order_relaxed) != sim::kNoPid) {
+        return false;
+      }
+      sim::Pid idle = sim::kNoPid;
+      return leader_.compare_exchange_strong(idle, env.pid(),
+                                             std::memory_order_acquire,
+                                             std::memory_order_relaxed);
+    }
+
+    /// Offers `decided` after a combine (it lands only if newer than the
+    /// cell's state, and is lost if the cell is busy: the next offer
+    /// carries it), and ends the caller's lead if it held one.
+    void offer(Env& env, const Ptr& decided) {
+      (void)cell_.write_if(decided, [&] {
+        // Under the cell's lock, so latest_ rises in cell order.
+        if (decided->seq <= latest_.load(std::memory_order_relaxed)) {
+          return false;
+        }
+        latest_.store(decided->seq, std::memory_order_release);
+        return true;
+      });
+      if (leader_.load(std::memory_order_relaxed) == env.pid()) {
+        leader_.store(sim::kNoPid, std::memory_order_release);
+      }
+    }
+
+   private:
+    RtAbortableReg<Ptr> cell_{nullptr};
+    std::atomic<std::uint64_t> latest_{0};
+    std::vector<util::CachelinePadded<Ptr>> seen_;
+    std::atomic<sim::Pid> leader_{sim::kNoPid};
+  };
 };
 
 /// A coroutine object written over a base-register policy, run on
 /// threads: `Inner` is instantiated on RtBase, thread `tid` drives
 /// process `tid`, and each call runs one operation to completion inline.
-/// RtQaUniversal adds the QA construction's frontier accessors; the zoo
-/// specialists run through this front as they are.
+/// RtQaUniversal adds the QA construction's frontier accessors and
+/// RtQaBatched the batched engine's surfaces; the zoo specialists run
+/// through this front as they are.
 template <class Inner>
 class RtFront {
  public:
@@ -139,8 +226,11 @@ class RtFront {
   using Response = typename Inner::Response;
   using Tid = std::uint32_t;
 
-  RtFront(int nthreads, State initial)
-      : home_{nthreads}, inner_(home_, std::move(initial)) {
+  /// `args` follow the initial state into Inner's constructor.
+  template <class... Args>
+  RtFront(int nthreads, State initial, Args&&... args)
+      : home_{nthreads},
+        inner_(home_, std::move(initial), std::forward<Args>(args)...) {
     TBWF_ASSERT(nthreads >= 1, "need at least one thread");
   }
   /// inner_ refers to home_.
@@ -186,14 +276,6 @@ class RtQaUniversal : public RtFront<qa::QaUniversal<S, RtBase>> {
 
   using Front::Front;
 
-  /// One try-lock read pass over all records: the decided frontier as
-  /// currently visible to `tid` (null if a base read aborted).
-  /// Refreshes tid's local decided cache. Called by tid's thread only.
-  StatePtr read_frontier(Tid tid) {
-    RtEnv env{this->pid_of(tid)};
-    return this->inner_.read_frontier(env).run_inline();
-  }
-
   /// The highest decided record tid itself has observed. Called by
   /// tid's thread only (per-thread slice, no synchronization).
   const StatePtr& local_decided(Tid tid) const {
@@ -204,6 +286,83 @@ class RtQaUniversal : public RtFront<qa::QaUniversal<S, RtBase>> {
   /// so call it only while no thread is operating (before the workers
   /// start or after they are joined).
   StateRec frontier_snapshot() const { return this->inner_.peek_frontier(); }
+};
+
+/// qa::BatchedQaUniversal on threads. Thread `tid` is combiner `tid`
+/// and owns lane `tid`; it may drive further lanes (Options::lanes) by
+/// announce() and collect(). announce() spins until its single-writer
+/// cell takes the write, which fails only while a combiner's drain read
+/// holds the cell. A collect() answered by the thread's decided cache
+/// runs no coroutine frame.
+template <qa::Sequential S>
+class RtQaBatched : public RtFront<qa::BatchedQaUniversal<S, RtBase>> {
+  using Front = RtFront<qa::BatchedQaUniversal<S, RtBase>>;
+
+ public:
+  using Engine = qa::BatchedQaUniversal<S, RtBase>;
+  using Result = typename S::Result;
+  using InnerStateRec = typename Engine::InnerStateRec;
+  using typename Front::Op;
+  using typename Front::State;
+  using typename Front::Tid;
+
+  /// The engine's settings, defaulting to the patience and slow-path
+  /// attempts measured on threads (E19).
+  struct Options : Engine::Options {
+    Options()
+        : Engine::Options{/*patience=*/64, /*combine_attempts=*/4,
+                          /*lanes=*/0} {}
+  };
+
+  explicit RtQaBatched(int nthreads, State initial = State{},
+                       Options options = {})
+      : Front(nthreads, std::move(initial),
+              static_cast<registers::AbortPolicy*>(nullptr), options) {}
+
+  /// Saturating surface: announce on tid's own lane, then collect.
+  /// Exactly-once by uid dedup; never bottom.
+  Result apply(Tid tid, Op op) {
+    const int lane = this->pid_of(tid);
+    announce(tid, lane, std::move(op));
+    return collect(tid, lane);
+  }
+
+  /// Stage `op` on `lane`, driven by tid's thread only.
+  void announce(Tid tid, int lane, Op op) {
+    RtEnv env{this->pid_of(tid)};
+    bool landed = this->inner_.announce(env, lane, std::move(op))
+                      .await_resume();
+    while (!landed) {
+      std::this_thread::yield();
+      landed = this->inner_.write_announce(env, lane).await_resume();
+    }
+  }
+
+  /// The result of the op staged on `lane`, once applied.
+  Result collect(Tid tid, int lane) {
+    RtEnv env{this->pid_of(tid)};
+    return this->inner_.collect(env, lane).run_inline();
+  }
+
+  /// Per-thread stats; read from the owning thread or after joining it.
+  std::uint64_t ops_started(Tid tid) const {
+    return this->inner_.ops_started(this->pid_of(tid));
+  }
+  std::uint64_t combines(Tid tid) const {
+    return this->inner_.combines(this->pid_of(tid));
+  }
+  std::uint64_t fast_completions(Tid tid) const {
+    return this->inner_.fast_completions(this->pid_of(tid));
+  }
+  /// Per-thread patience override; set it before the thread starts.
+  void set_patience(Tid tid, int patience) {
+    this->inner_.set_patience(this->pid_of(tid), patience);
+  }
+  /// Snapshot of the decided frontier, for exactness checks while no
+  /// thread is operating.
+  InnerStateRec state_snapshot() const {
+    return this->inner_.inner().peek_frontier();
+  }
 };
 
 }  // namespace tbwf::rt

@@ -3,11 +3,11 @@
 // The simulator (src/sim) is the faithful reproduction vehicle -- it
 // controls steps, timeliness and abort adversaries exactly. This rt
 // backend exists for the wall-clock benchmarks (E11): it shows the
-// practical cost profile on real threads. The QA universal construction
-// and the zoo specialists run here as the very coroutines the explorer
-// checks (rt_qa.hpp's RtBase policy puts their records in these
-// registers); the batched engine and the lease leader are still hand
-// ports of their sim twins.
+// practical cost profile on real threads. The QA universal construction,
+// its batched engine and the zoo specialists run here as the very
+// coroutines the explorer checks (rt_qa.hpp's RtBase policy puts their
+// records in these registers); the lease leader stands in for the
+// paper's Omega-Delta.
 //
 // RtAbortableReg implements the abortable-register contract with a
 // try-lock cell: an operation that cannot acquire the cell immediately

@@ -10,9 +10,13 @@
 // The run itself is the zoo's: a ZooExploredRun over the BatchedZoo
 // adapter, whose fingerprint covers the inner construction's records,
 // the announce array, each process's local step count and the history
-// fates. This header only maps the engine's knobs onto it.
+// fates. This header maps the engine's knobs onto it, and adds the one
+// workload the zoo's invoke/query surface cannot drive: producer lanes
+// beyond n, where one process has several operations in flight.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -20,7 +24,10 @@
 #include "qa/qa_batched.hpp"
 #include "qa/sequential_type.hpp"
 #include "registers/abort_policy.hpp"
+#include "sim/co.hpp"
+#include "util/hash.hpp"
 #include "verify/explorer.hpp"
+#include "verify/qa_harness.hpp"
 #include "zoo/zoo_harness.hpp"
 
 namespace tbwf::verify {
@@ -34,9 +41,83 @@ struct QaBatchedExploreConfig : ExploreWorkload<S> {
   registers::AbortPolicy* policy = nullptr;
 };
 
+/// The engine with more lanes than processes: lane l belongs to process
+/// l mod n. Each process stages its ops on its lanes in turn -- an
+/// announce on each lane, then a collect of each -- so it has several
+/// ops in flight, and one combine can drain them together. The oracle
+/// judges each op from its announce to its collect. The fingerprint is
+/// ZooExploredRun's.
+template <qa::Sequential S, class Base>
+class BatchedLanesRun final : public OracleExploredRun<S> {
+ public:
+  using Obj = zoo::BatchedZoo<S, Base>;
+
+  BatchedLanesRun(std::shared_ptr<const QaBatchedExploreConfig<S, Base>> config,
+                  std::unique_ptr<sim::Schedule> schedule)
+      : OracleExploredRun<S>(config, std::move(schedule)),
+        object_(this->world_, this->workload_->initial, config->policy,
+                config->engine) {
+    object_.set_mutations(config->mutations);
+    for (sim::Pid p = 0; p < this->workload_->n; ++p) {
+      this->world_.spawn(p, "batched-lanes", [this](sim::SimEnv& env) {
+        return worker(env, *this);
+      });
+    }
+  }
+
+  std::uint64_t fingerprint() const override {
+    std::uint64_t h = object_.fingerprint();
+    for (sim::Pid p = 0; p < this->workload_->n; ++p) {
+      h = util::hash_mix(h, this->world_.local_steps(p));
+    }
+    return this->with_history(h);
+  }
+
+ private:
+  static sim::Task worker(sim::SimEnv& env, BatchedLanesRun& self) {
+    const sim::Pid p = env.pid();
+    auto& engine = self.object_.engine();
+    auto& recorder = self.history_recorder();
+    const auto& ops = self.workload_->ops[p];
+    std::vector<int> lanes;
+    for (int l = p; l < engine.lanes(); l += self.workload_->n) {
+      lanes.push_back(l);
+    }
+    std::vector<std::size_t> open(lanes.size());
+    for (std::size_t k = 0; k < ops.size(); k += lanes.size()) {
+      const std::size_t staged = std::min(lanes.size(), ops.size() - k);
+      for (std::size_t j = 0; j < staged; ++j) {
+        open[j] = recorder.begin(p, ops[k + j], env.now());
+        bool landed = co_await engine.announce(env, lanes[j], ops[k + j]);
+        while (!landed) {
+          co_await env.yield();
+          landed = co_await engine.write_announce(env, lanes[j]);
+        }
+      }
+      for (std::size_t j = 0; j < staged; ++j) {
+        const typename S::Result result =
+            co_await engine.collect(env, lanes[j]);
+        recorder.end_ok(open[j], result, env.now());
+      }
+    }
+  }
+
+  Obj object_;
+};
+
 /// Factory adapter for Explorer; the config is copied into every run.
+/// An engine with more lanes than processes runs BatchedLanesRun.
 template <qa::Sequential S, class Base = qa::AtomicBase>
 RunFactory make_qa_batched_run_factory(QaBatchedExploreConfig<S, Base> config) {
+  if (config.engine.lanes > config.n) {
+    auto shared = std::make_shared<const QaBatchedExploreConfig<S, Base>>(
+        std::move(config));
+    return [shared](std::unique_ptr<sim::Schedule> schedule)
+               -> std::unique_ptr<ExploredRun> {
+      return std::make_unique<BatchedLanesRun<S, Base>>(shared,
+                                                        std::move(schedule));
+    };
+  }
   using Obj = zoo::BatchedZoo<S, Base>;
   return zoo::make_zoo_run_factory<S, Obj>(
       config,

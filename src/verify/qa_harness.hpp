@@ -191,6 +191,9 @@ class OracleExploredRun : public ExploredRun {
     return detail::fold_history(h, recorder_.history());
   }
 
+  /// For a harness whose processes record their operations themselves.
+  HistoryRecorder<S>& history_recorder() { return recorder_; }
+
   const std::shared_ptr<const ExploreWorkload<S>> workload_;
   sim::World world_;
 

@@ -128,6 +128,10 @@ class BatchedZoo {
       h = fold_announce(h, engine_.peek_announce(p));
       h = fold_announce(h, engine_.local_announce(p));
     }
+    for (int lane = n_; lane < engine_.lanes(); ++lane) {
+      h = fold_announce(h, engine_.peek_announce(lane));
+      h = fold_announce(h, engine_.local_announce(lane));
+    }
     return h;
   }
 

@@ -1,7 +1,8 @@
-// Real-thread tests of the batched announce/combine/help engine:
-// exactness under contention, tombstone fate sealing, the helping bound
-// for a thread that never combines, and a soak asserting the
-// hazard-pointer reclamation keeps memory bounded (no allocator hole).
+// Real-thread tests of the batched announce/combine/help engine
+// (qa::BatchedQaUniversal run through rt::RtQaBatched): exactness under
+// contention, tombstone fate sealing, the helping bound for a thread
+// that never combines, and a soak asserting that live states stay
+// bounded (no unbounded garbage).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +14,8 @@
 #include <vector>
 
 #include "qa/sequential_type.hpp"
-#include "rt/rt_qa_batched.hpp"
+#include "rt/rt_qa.hpp"
+#include "rt_counted_state.hpp"
 
 namespace tbwf::rt {
 namespace {
@@ -47,11 +49,7 @@ TEST(RtQaBatched, ContendedApplyIsExactlyOnce) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(obj.ops_started(static_cast<Obj::Tid>(t)),
               static_cast<std::uint64_t>(kOps));
-    EXPECT_LE(obj.ring_high_water(static_cast<Obj::Tid>(t)),
-              obj.ring_capacity());
   }
-  EXPECT_LE(obj.live_nodes(), obj.live_node_bound());
-  EXPECT_GE(obj.live_nodes(), 1);
 }
 
 TEST(RtQaBatched, InvokeQueryFatesAccountExactly) {
@@ -127,43 +125,53 @@ TEST(RtQaBatched, HelpingCarriesPatientThread) {
 }
 
 // Soak: saturating applies for TBWF_BATCHED_SOAK_MS (default 2 s; CI
-// runs 60 s) must keep reclamation bounded -- the retire-ring
-// high-water stays within capacity and live frontier nodes never exceed
-// the analytic bound. This is the no-unbounded-garbage criterion.
+// runs 60 s) must keep memory bounded -- the no-unbounded-garbage
+// criterion. Every decided state is a shared, immutable record of the
+// inner construction. Beyond the holders census::live_state_bound(n)
+// counts (4 * (4 + 16) = 80 at n = 4), only the engine's board holds
+// states: its cell's value and previous value (2), each thread's last
+// poll (n), and each thread's read copy before it lands (n). So the
+// states alive at once never exceed 80 + 2 + 8 = 90 at n = 4, however
+// long the run, and destroying the engine frees every one.
 TEST(RtQaBatchedSoak, ReclamationStaysBounded) {
   int soak_ms = 2000;
   if (const char* env = std::getenv("TBWF_BATCHED_SOAK_MS")) {
     soak_ms = std::max(1, std::atoi(env));
   }
   constexpr int kThreads = 4;
-  Obj obj(kThreads, 0);
-  std::atomic<bool> stop{false};
-  std::vector<I64> ops(kThreads, 0);
-  std::vector<std::thread> pool;
-  for (int t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&, t] {
-      const auto tid = static_cast<Obj::Tid>(t);
-      while (!stop.load(std::memory_order_acquire)) {
-        (void)obj.apply(tid, qa::Counter::Op{1});
-        ++ops[static_cast<std::size_t>(t)];
-      }
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(soak_ms));
-  stop.store(true, std::memory_order_release);
-  for (auto& th : pool) th.join();
+  using Counted = RtQaBatched<census::CountedCounter>;
+  census::reset_census();
+  {
+    Counted obj(kThreads);
+    std::atomic<bool> stop{false};
+    std::vector<I64> ops(kThreads, 0);
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t) {
+      pool.emplace_back([&, t] {
+        const auto tid = static_cast<Counted::Tid>(t);
+        while (!stop.load(std::memory_order_acquire)) {
+          (void)obj.apply(tid, census::CountedCounter::Op{1});
+          ++ops[static_cast<std::size_t>(t)];
+        }
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(soak_ms));
+    stop.store(true, std::memory_order_release);
+    for (auto& th : pool) th.join();
 
-  I64 total = 0;
-  for (int t = 0; t < kThreads; ++t) {
-    total += ops[static_cast<std::size_t>(t)];
-    EXPECT_LE(obj.ring_high_water(static_cast<Obj::Tid>(t)),
-              obj.ring_capacity())
-        << "thread " << t;
+    I64 total = 0;
+    for (int t = 0; t < kThreads; ++t) {
+      total += ops[static_cast<std::size_t>(t)];
+    }
+    EXPECT_EQ(obj.state_snapshot().state.inner.value, total);
+    EXPECT_GT(total, 0);
   }
-  EXPECT_EQ(obj.state_snapshot().state.inner, total);
-  EXPECT_LE(obj.live_nodes(), obj.live_node_bound());
-  EXPECT_GE(obj.live_nodes(), 1);
-  EXPECT_GT(total, 0);
+  const std::int64_t peak =
+      census::g_peak_states.load(std::memory_order_relaxed);
+  EXPECT_LE(peak, census::live_state_bound(kThreads) + 2 + 2 * kThreads);
+  RecordProperty("peak_live_states", std::to_string(peak));
+  EXPECT_EQ(census::g_live_states.load(std::memory_order_relaxed), 0)
+      << "a state outlived its engine";
 }
 
 }  // namespace

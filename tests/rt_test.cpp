@@ -443,7 +443,6 @@ TEST(RtQaUniversal, OutOfRangeTidDies) {
   RtQaUniversal<qa::Counter> obj(2, 0);
   EXPECT_DEATH((void)obj.invoke(2, qa::Counter::Op{1}), "tid out of range");
   EXPECT_DEATH((void)obj.query(5), "tid out of range");
-  EXPECT_DEATH((void)obj.read_frontier(2), "tid out of range");
   EXPECT_DEATH((void)obj.local_decided(2), "tid out of range");
 }
 

@@ -114,5 +114,63 @@ TEST(MutationBatched, UnmutatedEngineIsCleanAtTheSameBounds) {
   EXPECT_FALSE(result.violation_found) << result.summary();
 }
 
+// -- producer lanes: one process with two ops in flight ---------------------
+
+// n = 2 with 3 lanes: process 0 owns lanes 0 and 2 and stages an op on
+// each (announce, announce, collect, collect); process 1 uses its own
+// lane. The lanes reach the explored coroutine only through announce()
+// and collect(), so this is their explorer coverage. collect() waits
+// until its op is applied, and two combiners can abort each other's
+// slot rounds for as long as the schedule alternates them, so an
+// unbounded search never completes (the DFS fills max_depth with such
+// duels). Bounding preemptions at 10 makes it complete.
+QaBatchedExploreConfig<Counter> lanes_explore_config() {
+  auto config = batched_counter_explore_config(2, 1);
+  config.engine.lanes = 3;
+  config.ops[0].push_back(Counter::Op{4});
+  return config;
+}
+
+ExplorerOptions lanes_bounds(const char* name) {
+  ExplorerOptions opt = batched_bounds(name);
+  opt.max_preemptions = 10;
+  return opt;
+}
+
+TEST(ExplorerBatched, LanesBoundedDfsFindsNoViolation) {
+  Explorer explorer(make_qa_batched_run_factory(lanes_explore_config()),
+                    lanes_bounds("batched-lanes-clean"));
+  const ExploreResult result = explorer.explore();
+  EXPECT_EQ(result.stats.summary(),
+            "runs=21560 steps=1528482 distinct_states=89647 "
+            "sleep_skips=21879 preemption_skips=26261 state_prunes=13353");
+  EXPECT_FALSE(result.violation_found) << result.summary();
+  EXPECT_TRUE(result.clean()) << result.summary();
+}
+
+TEST(MutationBatched, DropFromBatchIsCaughtWithLanes) {
+  auto config = lanes_explore_config();
+  config.mutations.drop_from_batch = true;
+  Explorer explorer(make_qa_batched_run_factory(config),
+                    lanes_bounds("drop-from-batch-lanes"));
+  const ExploreResult result = explorer.explore();
+  // Caught on the first schedule: process 0's own second lane is the
+  // drained item the mutant drops.
+  EXPECT_EQ(result.stats.summary(),
+            "runs=1 steps=149 distinct_states=30 sleep_skips=0 "
+            "preemption_skips=0 state_prunes=0");
+  EXPECT_EQ(result.artifact.schedule.size(), 15u);
+  EXPECT_EQ(result.artifact.trace_digest, 0x6ecaed4a7e98806aull);
+  ASSERT_TRUE(result.violation_found) << result.summary();
+  EXPECT_NE(result.artifact.violation.find("VIOLATION"), std::string::npos);
+
+  auto factory = make_qa_batched_run_factory(config);
+  auto run = factory(
+      std::make_unique<sim::ScriptedSchedule>(result.artifact.schedule));
+  run->world().run(static_cast<Step>(result.artifact.schedule.size()));
+  EXPECT_FALSE(run->check().empty());
+  EXPECT_EQ(run->world().trace().digest(), result.artifact.trace_digest);
+}
+
 }  // namespace
 }  // namespace tbwf::verify

@@ -29,6 +29,7 @@
 #include "sim/world.hpp"
 #include "zoo/ledger.hpp"
 #include "zoo/snapshot.hpp"
+#include "verify/qa_batched_harness.hpp"
 #include "zoo/turn_queue.hpp"
 #include "zoo/zoo_harness.hpp"
 #include "zoo/zoo_types.hpp"
@@ -37,6 +38,8 @@ namespace {
 
 using namespace tbwf;
 using namespace tbwf::zoo;
+using verify::BatchedZoo;
+using verify::UniversalZoo;
 
 constexpr std::uint64_t kSeed = 7;
 constexpr sim::Step kBudget = 60000;  ///< sim step budget per config

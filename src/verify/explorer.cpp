@@ -305,7 +305,7 @@ ExploreResult Explorer::explore() {
       art.schedule = path;
       art.violation = violation;
       art.details = run->describe();
-      if (options_.minimize) minimize_artifact(art, stats);
+      minimize_artifact(art, stats);
       break;
     }
 

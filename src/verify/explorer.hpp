@@ -82,8 +82,6 @@ struct ExplorerOptions {
   std::uint64_t max_runs = 1u << 20;
   bool sleep_sets = true;
   bool state_pruning = true;
-  /// Shrink a violating schedule to its shortest failing prefix.
-  bool minimize = true;
 };
 
 struct ExploreStats {

@@ -7,12 +7,14 @@
 // S ops/results; batching is invisible to the oracle, exactly as it
 // must be to clients).
 //
-// The run itself is the zoo's: a ZooExploredRun over the BatchedZoo
-// adapter, whose fingerprint covers the inner construction's records,
-// the announce array, each process's local step count and the history
-// fates. This header maps the engine's knobs onto it, and adds the one
-// workload the zoo's invoke/query surface cannot drive: producer lanes
-// beyond n, where one process has several operations in flight.
+// BatchedZoo adapts the engine onto the ZooObject contract; its
+// fingerprint covers the inner construction's records and the announce
+// array. The run itself is a ZooExploredRun over it, so the run
+// fingerprint (each process's local step count and the history fates
+// on top) is qa_harness.hpp's one rule. This header maps the engine's
+// knobs onto that run, and adds the one workload the invoke/query
+// surface cannot drive: producer lanes beyond n, where one process has
+// several operations in flight.
 #pragma once
 
 #include <algorithm>
@@ -25,12 +27,86 @@
 #include "qa/sequential_type.hpp"
 #include "registers/abort_policy.hpp"
 #include "sim/co.hpp"
+#include "sim/env.hpp"
+#include "sim/world.hpp"
 #include "util/hash.hpp"
 #include "verify/explorer.hpp"
 #include "verify/qa_harness.hpp"
-#include "zoo/zoo_harness.hpp"
 
 namespace tbwf::verify {
+
+/// BatchedQaUniversal adapted onto the zoo contract (T_QA surface:
+/// invoke/query; the saturating apply() stays reachable via engine()).
+template <qa::Sequential S, class Base = qa::AtomicBase>
+class BatchedZoo {
+ public:
+  using Engine = qa::BatchedQaUniversal<S, Base>;
+  using Inner = typename Engine::Inner;
+  using Result = typename S::Result;
+  using Response = qa::QaResponse<Result>;
+
+  BatchedZoo(sim::World& world, typename S::State initial,
+             registers::AbortPolicy* policy = nullptr,
+             typename Engine::Options options = {})
+      : n_(world.n()),
+        engine_(world, std::move(initial), policy, options) {}
+
+  void set_mutations(qa::BatchMutations m) { engine_.set_mutations(m); }
+
+  sim::Co<Response> invoke(sim::SimEnv& env, typename S::Op op) {
+    return engine_.invoke(env, std::move(op));
+  }
+  sim::Co<Response> query(sim::SimEnv& env) { return engine_.query(env); }
+  sim::Co<Result> apply(sim::SimEnv& env, typename S::Op op) {
+    return engine_.apply(env, std::move(op));
+  }
+
+  typename S::State abstract_state() const {
+    return engine_.inner().peek_frontier().state.inner;
+  }
+
+  std::uint64_t fingerprint() const {
+    std::uint64_t h = util::kFnvOffset;
+    const Inner& inner = engine_.inner();
+    for (sim::Pid p = 0; p < n_; ++p) {
+      h = detail::fold_record(h, inner.peek_record(p), fold_state_rec);
+      h = detail::fold_record(h, inner.local_mine(p), fold_state_rec);
+      h = fold_state_rec(h, inner.local_decided_rec(p));
+      h = util::hash_mix(h, inner.round(p));
+      h = fold_announce(h, engine_.peek_announce(p));
+      h = fold_announce(h, engine_.local_announce(p));
+    }
+    for (int lane = n_; lane < engine_.lanes(); ++lane) {
+      h = fold_announce(h, engine_.peek_announce(lane));
+      h = fold_announce(h, engine_.local_announce(lane));
+    }
+    return h;
+  }
+
+  Engine& engine() { return engine_; }
+
+ private:
+  static std::uint64_t fold_state_rec(std::uint64_t h,
+                                      const typename Inner::StateRec& r) {
+    h = util::hash_mix(h, r.seq);
+    h = detail::fold_value(h, r.state.inner);
+    h = util::hash_range(h, r.state.done_uid);
+    h = util::hash_range(h, r.state.done_void);
+    for (const Result& res : r.state.done_result) {
+      h = detail::fold_value(h, res);
+    }
+    h = util::hash_range(h, r.last_uid);
+    return util::hash_range(h, r.last_result);
+  }
+  static std::uint64_t fold_announce(std::uint64_t h,
+                                     const typename Engine::Announce& a) {
+    h = util::hash_mix(h, a.uid);
+    return util::hash_mix(h, a.has_op);
+  }
+
+  int n_;
+  Engine engine_;
+};
 
 template <qa::Sequential S, class Base = qa::AtomicBase>
 struct QaBatchedExploreConfig : ExploreWorkload<S> {
@@ -46,11 +122,11 @@ struct QaBatchedExploreConfig : ExploreWorkload<S> {
 /// announce on each lane, then a collect of each -- so it has several
 /// ops in flight, and one combine can drain them together. The oracle
 /// judges each op from its announce to its collect. The fingerprint is
-/// ZooExploredRun's.
+/// the one run fingerprint, as in ZooExploredRun.
 template <qa::Sequential S, class Base>
 class BatchedLanesRun final : public OracleExploredRun<S> {
  public:
-  using Obj = zoo::BatchedZoo<S, Base>;
+  using Obj = BatchedZoo<S, Base>;
 
   BatchedLanesRun(std::shared_ptr<const QaBatchedExploreConfig<S, Base>> config,
                   std::unique_ptr<sim::Schedule> schedule)
@@ -66,11 +142,7 @@ class BatchedLanesRun final : public OracleExploredRun<S> {
   }
 
   std::uint64_t fingerprint() const override {
-    std::uint64_t h = object_.fingerprint();
-    for (sim::Pid p = 0; p < this->workload_->n; ++p) {
-      h = util::hash_mix(h, this->world_.local_steps(p));
-    }
-    return this->with_history(h);
+    return this->run_fingerprint(object_.fingerprint());
   }
 
  private:
@@ -105,8 +177,8 @@ class BatchedLanesRun final : public OracleExploredRun<S> {
   Obj object_;
 };
 
-/// Factory adapter for Explorer; the config is copied into every run.
-/// An engine with more lanes than processes runs BatchedLanesRun.
+/// Factory adapter for Explorer. Its runs share one copy of the config;
+/// an engine with more lanes than processes runs BatchedLanesRun.
 template <qa::Sequential S, class Base = qa::AtomicBase>
 RunFactory make_qa_batched_run_factory(QaBatchedExploreConfig<S, Base> config) {
   if (config.engine.lanes > config.n) {
@@ -118,13 +190,16 @@ RunFactory make_qa_batched_run_factory(QaBatchedExploreConfig<S, Base> config) {
                                                         std::move(schedule));
     };
   }
-  using Obj = zoo::BatchedZoo<S, Base>;
-  return zoo::make_zoo_run_factory<S, Obj>(
-      config,
-      [config](sim::World& world, const typename S::State& initial) {
-        auto object = std::make_unique<Obj>(world, initial, config.policy,
-                                            config.engine);
-        object->set_mutations(config.mutations);
+  using Obj = BatchedZoo<S, Base>;
+  const auto engine = config.engine;
+  const qa::BatchMutations mutations = config.mutations;
+  registers::AbortPolicy* const policy = config.policy;
+  return make_zoo_run_factory<S, Obj>(
+      std::move(config),
+      [engine, mutations, policy](sim::World& world,
+                                  const typename S::State& initial) {
+        auto object = std::make_unique<Obj>(world, initial, policy, engine);
+        object->set_mutations(mutations);
         return object;
       });
 }

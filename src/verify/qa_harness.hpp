@@ -1,18 +1,24 @@
-// Explorer harnesses over the QA universal construction, packaged as
-// ExploredRuns so the schedule explorer can enumerate a run's
-// interleavings and grade each one with the linearizability oracle.
+// The explorer harness: bounded workloads over the QA universal
+// construction and every zoo object, packaged as ExploredRuns so the
+// schedule explorer can enumerate a run's interleavings and grade each
+// one with the linearizability oracle.
 //
-// OracleExploredRun holds what every such harness shares: the world, the
-// bounded workload (each process runs its ExploreWorkload op list
-// through a HistoryRecorder) and the oracle verdict. QaExploredRun drives
-// QaUniversal<S, Base>; zoo/zoo_harness.hpp's ZooExploredRun drives any
-// ZooObject, the batched engine included. The QaExploredRun fingerprint
-// covers the shared records, the object's private per-process state and
-// the history fates -- everything the oracle verdict depends on up to
-// operation intervals (which state-hash pruning deliberately abstracts;
-// see explorer.hpp).
+// OracleExploredRun holds what every run shares: the world, the bounded
+// workload (each process runs its ExploreWorkload op list through a
+// HistoryRecorder), the oracle verdict and the one run fingerprint
+// rule -- the object's fingerprint, then each process's local step
+// count, then the history fates. ZooExploredRun drives any ZooObject
+// through it. UniversalZoo adapts QaUniversal onto that contract, and
+// make_qa_run_factory runs the QA construction as one more zoo object.
+// qa_batched_harness.hpp adapts the batched engine the same way, and
+// zoo/zoo_harness.hpp holds the zoo's canned workloads. The fingerprint
+// covers everything the oracle verdict depends on up to operation
+// intervals (which state-hash pruning deliberately abstracts; see
+// explorer.hpp).
 #pragma once
 
+#include <concepts>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -162,7 +168,6 @@ class OracleExploredRun : public ExploredRun {
     return out.str();
   }
 
-  const OracleResult& oracle() const { return oracle_; }
   const HistoryRecorder<S>& recorder() const { return recorder_; }
 
  protected:
@@ -186,8 +191,17 @@ class OracleExploredRun : public ExploredRun {
     }
   }
 
-  /// Fold the history fates into an object fingerprint.
-  std::uint64_t with_history(std::uint64_t h) const {
+  /// The run fingerprint: `object_fp`, then each process's local step
+  /// count, then the history fates. The step counts stand in for the
+  /// state no object fingerprint folds: QaUniversal's read-pass view, a
+  /// specialist's scan loop, a combiner's drained batch. Without them
+  /// pruning merges states that lead to different outcomes
+  /// (tests/explorer_soundness_test.cpp).
+  std::uint64_t run_fingerprint(std::uint64_t object_fp) const {
+    std::uint64_t h = object_fp;
+    for (sim::Pid p = 0; p < workload_->n; ++p) {
+      h = util::hash_mix(h, world_.local_steps(p));
+    }
     return detail::fold_history(h, recorder_.history());
   }
 
@@ -221,6 +235,95 @@ class OracleExploredRun : public ExploredRun {
   OracleResult oracle_;
 };
 
+/// The object contract every explored run drives: the T_QA surface
+/// (invoke/query), a fingerprint of the object's shared and private
+/// protocol state (state-hash pruning) and its abstract state once
+/// quiescent (the zoo's differential check).
+template <class Obj, class S>
+concept ZooObject = qa::Sequential<S> &&
+    requires(Obj o, const Obj co, sim::SimEnv& env, typename S::Op op) {
+      { o.invoke(env, op) }
+          -> std::same_as<sim::Co<qa::QaResponse<typename S::Result>>>;
+      { o.query(env) }
+          -> std::same_as<sim::Co<qa::QaResponse<typename S::Result>>>;
+      { co.fingerprint() } -> std::convertible_to<std::uint64_t>;
+      { co.abstract_state() } -> std::convertible_to<typename S::State>;
+    };
+
+/// One bounded workload over any ZooObject, packaged as an ExploredRun.
+template <qa::Sequential S, class Obj>
+  requires ZooObject<Obj, S>
+class ZooExploredRun final : public OracleExploredRun<S> {
+ public:
+  /// Builds the object under test. Receives the workload's initial
+  /// abstract state so the object and the oracle can never disagree
+  /// about where the run starts.
+  using Maker = std::function<std::unique_ptr<Obj>(
+      sim::World&, const typename S::State&)>;
+
+  ZooExploredRun(std::shared_ptr<const ExploreWorkload<S>> workload,
+                 const Maker& maker, std::unique_ptr<sim::Schedule> schedule)
+      : OracleExploredRun<S>(std::move(workload), std::move(schedule)),
+        object_(maker(this->world_, this->workload_->initial)) {
+    this->spawn_workload(*object_, "zoo-explore");
+  }
+
+  std::uint64_t fingerprint() const override {
+    return this->run_fingerprint(object_->fingerprint());
+  }
+
+ private:
+  std::unique_ptr<Obj> object_;
+};
+
+/// Factory adapter for Explorer. Its runs share one copy of the
+/// workload and call one maker, which must be pure up to its World
+/// argument.
+template <qa::Sequential S, class Obj>
+  requires ZooObject<Obj, S>
+RunFactory make_zoo_run_factory(ExploreWorkload<S> workload,
+                                typename ZooExploredRun<S, Obj>::Maker maker) {
+  auto shared = std::make_shared<const ExploreWorkload<S>>(std::move(workload));
+  return [shared, maker = std::move(maker)](
+             std::unique_ptr<sim::Schedule> schedule)
+             -> std::unique_ptr<ExploredRun> {
+    return std::make_unique<ZooExploredRun<S, Obj>>(shared, maker,
+                                                    std::move(schedule));
+  };
+}
+
+/// QaUniversal adapted onto the zoo contract.
+template <qa::Sequential S, class Base = qa::AtomicBase>
+class UniversalZoo {
+ public:
+  using Inner = qa::QaUniversal<S, Base>;
+  using Result = typename S::Result;
+  using Response = qa::QaResponse<Result>;
+
+  UniversalZoo(sim::World& world, typename S::State initial,
+               registers::AbortPolicy* policy = nullptr)
+      : n_(world.n()), inner_(world, std::move(initial), policy) {}
+
+  void set_mutations(qa::QaMutations m) { inner_.set_mutations(m); }
+
+  sim::Co<Response> invoke(sim::SimEnv& env, typename S::Op op) {
+    return inner_.invoke(env, std::move(op));
+  }
+  sim::Co<Response> query(sim::SimEnv& env) { return inner_.query(env); }
+
+  typename S::State abstract_state() const {
+    return inner_.peek_frontier().state;
+  }
+
+  std::uint64_t fingerprint() const {
+    return detail::fold_qa_universal(util::kFnvOffset, inner_, n_);
+  }
+
+ private:
+  int n_;
+  Inner inner_;
+};
+
 template <qa::Sequential S, class Base = qa::AtomicBase>
 struct QaExploreConfig : ExploreWorkload<S> {
   /// Protocol faults under test (all off = the real protocol).
@@ -229,37 +332,22 @@ struct QaExploreConfig : ExploreWorkload<S> {
   registers::AbortPolicy* policy = nullptr;
 };
 
-template <qa::Sequential S, class Base = qa::AtomicBase>
-class QaExploredRun final : public OracleExploredRun<S> {
- public:
-  QaExploredRun(std::shared_ptr<const QaExploreConfig<S, Base>> config,
-                std::unique_ptr<sim::Schedule> schedule)
-      : OracleExploredRun<S>(config, std::move(schedule)),
-        object_(this->world_, config->initial, config->policy) {
-    object_.set_mutations(config->mutations);
-    this->spawn_workload(object_, "qa-explore");
-  }
-
-  std::uint64_t fingerprint() const override {
-    return this->with_history(detail::fold_qa_universal(
-        util::kFnvOffset, object_, this->workload_->n));
-  }
-
- private:
-  qa::QaUniversal<S, Base> object_;
-};
-
-/// Factory adapter for Explorer. Its runs share one copy of the config;
-/// any policy pointer it carries must outlive the exploration.
+/// The QA construction as an explored run: a ZooExploredRun over
+/// UniversalZoo. Its runs share one copy of the workload; any policy
+/// pointer the config carries must outlive the exploration.
 template <qa::Sequential S, class Base = qa::AtomicBase>
 RunFactory make_qa_run_factory(QaExploreConfig<S, Base> config) {
-  auto shared =
-      std::make_shared<const QaExploreConfig<S, Base>>(std::move(config));
-  return [shared](std::unique_ptr<sim::Schedule> schedule)
-             -> std::unique_ptr<ExploredRun> {
-    return std::make_unique<QaExploredRun<S, Base>>(shared,
-                                                    std::move(schedule));
-  };
+  using Obj = UniversalZoo<S, Base>;
+  const qa::QaMutations mutations = config.mutations;
+  registers::AbortPolicy* const policy = config.policy;
+  return make_zoo_run_factory<S, Obj>(
+      std::move(config),
+      [mutations, policy](sim::World& world,
+                          const typename S::State& initial) {
+        auto object = std::make_unique<Obj>(world, initial, policy);
+        object->set_mutations(mutations);
+        return object;
+      });
 }
 
 /// Convenience: n processes, each issuing `ops_per_process` Counter

@@ -5,7 +5,7 @@
 // simulated QA step allocates is paid hundreds of thousands of times per
 // exploration. This binary replaces the global operator new with a
 // counting one and holds the canonical n = 3 QA counter exploration to a
-// fixed number of allocations per schedule. About 71 are needed:
+// fixed number of allocations per schedule. About 73 are needed:
 // building the run (its workload is shared by every run of the
 // factory), the protocol's coroutine frames and new states, the history
 // and the oracle. The kernel's share of a step and the

@@ -48,8 +48,8 @@ TEST(Explorer, UnmutatedCounterStackN2IsClean) {
   Explorer explorer(make_qa_run_factory(counter_explore_config(2, 1)), opt);
   const ExploreResult result = explorer.explore();
   EXPECT_EQ(result.stats.summary(),
-            "runs=413 steps=8169 distinct_states=872 sleep_skips=275 "
-            "preemption_skips=0 state_prunes=341");
+            "runs=522 steps=10875 distinct_states=1304 sleep_skips=389 "
+            "preemption_skips=0 state_prunes=348");
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_GT(result.stats.sleep_skips + result.stats.state_prunes, 0u)
       << "reductions never fired: " << result.stats.summary();
@@ -95,8 +95,8 @@ TEST(Explorer, ExplorationIsDeterministic) {
   const ExploreResult a = run_once();
   const ExploreResult b = run_once();
   EXPECT_EQ(a.stats.summary(),
-            "runs=413 steps=8169 distinct_states=872 sleep_skips=275 "
-            "preemption_skips=0 state_prunes=341");
+            "runs=522 steps=10875 distinct_states=1304 sleep_skips=389 "
+            "preemption_skips=0 state_prunes=348");
   EXPECT_EQ(a.violation_found, b.violation_found);
   EXPECT_EQ(a.stats.runs, b.stats.runs);
   EXPECT_EQ(a.stats.steps, b.stats.steps);
@@ -113,8 +113,8 @@ TEST(Explorer, PreemptionBoundCutsChoices) {
   Explorer explorer(make_qa_run_factory(counter_explore_config(2, 1)), opt);
   const ExploreResult result = explorer.explore();
   EXPECT_EQ(result.stats.summary(),
-            "runs=29 steps=500 distinct_states=260 sleep_skips=37 "
-            "preemption_skips=77 state_prunes=10");
+            "runs=29 steps=509 distinct_states=271 sleep_skips=37 "
+            "preemption_skips=79 state_prunes=8");
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_GT(result.stats.preemption_skips, 0u) << result.stats.summary();
 }
@@ -130,8 +130,8 @@ TEST(Explorer, MeetsIssueBoundsAtN3) {
   Explorer explorer(make_qa_run_factory(counter_explore_config(3, 1)), opt);
   const ExploreResult result = explorer.explore();
   EXPECT_EQ(result.stats.summary(),
-            "runs=12000 steps=552469 distinct_states=14432 sleep_skips=15909 "
-            "preemption_skips=0 state_prunes=10478 (run budget exhausted)");
+            "runs=12000 steps=585632 distinct_states=20640 sleep_skips=17526 "
+            "preemption_skips=0 state_prunes=9626 (run budget exhausted)");
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_TRUE(result.stats.runs >= 10000 || result.clean())
       << result.summary();

@@ -148,14 +148,14 @@ TEST(ReplayDeterminism, ZooCounterexampleArtifactReplaysBitIdentically) {
   config.ops[0] = {Q::dequeue()};
   config.ops[1] = {Q::dequeue()};
 
-  const typename zoo::ZooExploredRun<Q, Spec>::Maker maker =
+  const typename verify::ZooExploredRun<Q, Spec>::Maker maker =
       [](sim::World& w, const Q::State& init) {
         auto obj = std::make_unique<Spec>(w, init);
         obj->set_mutations(zoo::TurnQueueMutations{.drop_claim_fence = true});
         return obj;
       };
   const verify::RunFactory factory =
-      zoo::make_zoo_run_factory<Q, Spec>(config, maker);
+      verify::make_zoo_run_factory<Q, Spec>(config, maker);
 
   verify::ExplorerOptions opt;
   opt.name = "replay-zoo-queue-dropfence";

@@ -102,8 +102,8 @@ TEST(MutationDropFence, UnmutatedStackIsCleanAtTheSameBounds) {
                     fence_bounds("decide-fence-intact"));
   const ExploreResult result = explorer.explore();
   EXPECT_EQ(result.stats.summary(),
-            "runs=413 steps=8169 distinct_states=872 sleep_skips=275 "
-            "preemption_skips=0 state_prunes=341");
+            "runs=522 steps=10875 distinct_states=1304 sleep_skips=389 "
+            "preemption_skips=0 state_prunes=348");
   EXPECT_FALSE(result.violation_found) << result.summary();
   EXPECT_TRUE(result.clean()) << result.summary();
 }

@@ -25,6 +25,9 @@ using verify::ExploreResult;
 using verify::Explorer;
 using verify::ExplorerOptions;
 using verify::OpStatus;
+using verify::UniversalZoo;
+using verify::ZooExploredRun;
+using verify::make_zoo_run_factory;
 
 using Q2 = BoundedQueueOf<2>;
 using Q4 = BoundedQueueOf<4>;

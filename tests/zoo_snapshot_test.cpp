@@ -17,6 +17,7 @@
 #include "sim/faultplan.hpp"
 #include "sim/schedule.hpp"
 #include "verify/explorer.hpp"
+#include "verify/qa_batched_harness.hpp"
 #include "zoo/snapshot.hpp"
 #include "zoo/zoo_harness.hpp"
 
@@ -28,6 +29,10 @@ using verify::Explorer;
 using verify::ExplorerOptions;
 using verify::HistoryOp;
 using verify::OpStatus;
+using verify::BatchedZoo;
+using verify::UniversalZoo;
+using verify::ZooExploredRun;
+using verify::make_zoo_run_factory;
 
 using SpecRun = ZooExploredRun<SnapshotType, WfSnapshot<>>;
 using UniSnap = UniversalZoo<SnapshotType>;

@@ -1,8 +1,9 @@
 // E20: the universality tax across the data-structure zoo.
 //
-// Every zoo object exists twice: a handwritten register-based
-// specialist and the QA-universal instantiation of its Sequential
-// type (plus the batched engine). This harness prices the gap on both
+// Every zoo object runs as the QA-universal instantiation of its
+// Sequential type and as the batched engine; the snapshot and the
+// ledger also have a handwritten register-based specialist (the
+// bounded queue has none). This harness prices the gap on both
 // backends:
 //  * sim rows (gated, unit "rounds"): Ok operations completed inside a
 //    fixed deterministic step budget, identical seed and workload for
@@ -12,14 +13,16 @@
 //    being its sim coroutine run through rt::RtFront -- noisy on shared
 //    runners, so the gate checks the rows exist but not their values;
 //  * tax rows (informational, unit "x"): specialist / engine ratio per
-//    object and backend.
+//    object with a specialist and backend.
 // The JSON lands at BENCH_zoo.json and feeds the CI bench gate plus
 // the docs/ZOO.md table.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <cstdio>
+#include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -30,7 +33,6 @@
 #include "zoo/ledger.hpp"
 #include "zoo/snapshot.hpp"
 #include "verify/qa_batched_harness.hpp"
-#include "zoo/turn_queue.hpp"
 #include "zoo/zoo_harness.hpp"
 #include "zoo/zoo_types.hpp"
 
@@ -101,7 +103,7 @@ LedgerType::Op ledger_op(int p, std::uint64_t k, int n) {
 }
 
 struct SimPoint {
-  std::uint64_t specialist = 0;
+  std::optional<std::uint64_t> specialist;  ///< unset: no specialist
   std::uint64_t universal = 0;
   std::uint64_t batched = 0;
 };
@@ -135,12 +137,6 @@ SimPoint sim_snapshot() {
 SimPoint sim_queue() {
   SimPoint pt;
   const auto op = [](sim::Pid p, std::uint64_t k) { return queue_op(p, k); };
-  pt.specialist = sim_ok_ops<Queue, TurnQueue<kCap>>(
-      kSimN,
-      [](sim::World& w) {
-        return std::make_unique<TurnQueue<kCap>>(w, Queue::State{});
-      },
-      op);
   pt.universal = sim_ok_ops<Queue, UniversalZoo<Queue>>(
       kSimN,
       [](sim::World& w) {
@@ -236,7 +232,7 @@ double rt_ok_ops_per_sec(Obj& obj, OpFn next_op, const char* tag) {
 }
 
 struct RtPoint {
-  double specialist = 0;
+  std::optional<double> specialist;  ///< unset: no specialist
   double universal = 0;
   double batched = 0;
 };
@@ -265,10 +261,6 @@ RtPoint rt_snapshot() {
 RtPoint rt_queue() {
   RtPoint pt;
   const auto op = [](int tid, std::uint64_t k) { return queue_op(tid, k); };
-  {
-    rt::RtFront<TurnQueue<kCap, rt::RtBase>> obj(kRtThreads, Queue::State{});
-    pt.specialist = rt_ok_ops_per_sec(obj, op, "queue/spec");
-  }
   {
     rt::RtQaUniversal<Queue> obj(kRtThreads, Queue::State{});
     pt.universal = rt_ok_ops_per_sec(obj, op, "queue/uni");
@@ -300,7 +292,11 @@ RtPoint rt_ledger() {
   return pt;
 }
 
-double ratio(double a, double b) { return b > 0 ? a / b : 0.0; }
+/// Specialist / engine; unset for an object without a specialist.
+std::optional<double> tax(std::optional<double> specialist, double engine) {
+  if (!specialist) return std::nullopt;
+  return engine > 0 ? *specialist / engine : 0.0;
+}
 
 }  // namespace
 
@@ -322,25 +318,29 @@ int main() {
 
   bench::Table table({"object", "backend", "specialist", "universal",
                       "batched", "tax(uni)", "tax(bat)"});
+  // "-" where the object has no specialist.
+  const auto cell = [](std::optional<double> v, int prec) {
+    return v ? fmt_f(*v, prec) : std::string("-");
+  };
   for (int i = 0; i < 3; ++i) {
     const SimPoint& sp = sim_pts[i];
     const RtPoint& rp = rt_pts[i];
-    const double sim_tax_uni =
-        ratio(static_cast<double>(sp.specialist), static_cast<double>(sp.universal));
-    const double sim_tax_bat =
-        ratio(static_cast<double>(sp.specialist), static_cast<double>(sp.batched));
-    const double rt_tax_uni = ratio(rp.specialist, rp.universal);
-    const double rt_tax_bat = ratio(rp.specialist, rp.batched);
-    table.row({names[i], "sim", fmt_u(sp.specialist), fmt_u(sp.universal),
-               fmt_u(sp.batched), fmt_f(sim_tax_uni), fmt_f(sim_tax_bat)});
-    table.row({names[i], "rt", fmt_f(rp.specialist, 0), fmt_f(rp.universal, 0),
-               fmt_f(rp.batched, 0), fmt_f(rt_tax_uni), fmt_f(rt_tax_bat)});
+    const auto sim_tax_uni =
+        tax(sp.specialist, static_cast<double>(sp.universal));
+    const auto sim_tax_bat =
+        tax(sp.specialist, static_cast<double>(sp.batched));
+    const auto rt_tax_uni = tax(rp.specialist, rp.universal);
+    const auto rt_tax_bat = tax(rp.specialist, rp.batched);
+    table.row({names[i], "sim", cell(sp.specialist, 0), fmt_u(sp.universal),
+               fmt_u(sp.batched), cell(sim_tax_uni, 2), cell(sim_tax_bat, 2)});
+    table.row({names[i], "rt", cell(rp.specialist, 0), fmt_f(rp.universal, 0),
+               fmt_f(rp.batched, 0), cell(rt_tax_uni, 2), cell(rt_tax_bat, 2)});
 
     // Gated deterministic rows: Ok ops inside the fixed sim budget.
-    const std::vector<std::pair<const char*, std::uint64_t>> sim_rows = {
-        {"specialist", sp.specialist},
-        {"universal", sp.universal},
-        {"batched", sp.batched}};
+    std::vector<std::pair<const char*, std::uint64_t>> sim_rows;
+    if (sp.specialist) sim_rows.emplace_back("specialist", *sp.specialist);
+    sim_rows.emplace_back("universal", sp.universal);
+    sim_rows.emplace_back("batched", sp.batched);
     for (const auto& [engine, ops] : sim_rows) {
       json.row("ops_per_budget", static_cast<double>(ops), "rounds", kSeed,
                {{"backend", "sim"},
@@ -350,10 +350,10 @@ int main() {
                 {"steps", fmt_u(kBudget)}});
     }
     // Informational wall-clock rows (value not compared by the gate).
-    const std::vector<std::pair<const char*, double>> rt_rows = {
-        {"specialist", rp.specialist},
-        {"universal", rp.universal},
-        {"batched", rp.batched}};
+    std::vector<std::pair<const char*, double>> rt_rows;
+    if (rp.specialist) rt_rows.emplace_back("specialist", *rp.specialist);
+    rt_rows.emplace_back("universal", rp.universal);
+    rt_rows.emplace_back("batched", rp.batched);
     for (const auto& [engine, ops] : rt_rows) {
       json.row("throughput", ops, "ops/s", 0,
                {{"backend", "rt"},
@@ -361,14 +361,15 @@ int main() {
                 {"engine", engine},
                 {"threads", fmt_i(kRtThreads)}});
     }
+    if (!sp.specialist) continue;
     // Informational tax ratios, one per engine and backend.
-    json.row("universality_tax", sim_tax_uni, "x", kSeed,
+    json.row("universality_tax", *sim_tax_uni, "x", kSeed,
              {{"backend", "sim"}, {"object", names[i]}, {"engine", "universal"}});
-    json.row("universality_tax", sim_tax_bat, "x", kSeed,
+    json.row("universality_tax", *sim_tax_bat, "x", kSeed,
              {{"backend", "sim"}, {"object", names[i]}, {"engine", "batched"}});
-    json.row("universality_tax", rt_tax_uni, "x", 0,
+    json.row("universality_tax", *rt_tax_uni, "x", 0,
              {{"backend", "rt"}, {"object", names[i]}, {"engine", "universal"}});
-    json.row("universality_tax", rt_tax_bat, "x", 0,
+    json.row("universality_tax", *rt_tax_bat, "x", 0,
              {{"backend", "rt"}, {"object", names[i]}, {"engine", "batched"}});
   }
   table.print();

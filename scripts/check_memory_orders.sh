@@ -18,7 +18,7 @@ set -u
 
 fail=0
 files="$(find src/rt -name '*.hpp' -o -name '*.cpp') src/qa/qa_universal.hpp
-  src/qa/qa_batched.hpp src/zoo/specialist.hpp src/zoo/snapshot.hpp src/zoo/turn_queue.hpp
+  src/qa/qa_batched.hpp src/zoo/specialist.hpp src/zoo/snapshot.hpp
   src/zoo/ledger.hpp src/sim/co.hpp"
 
 ops='\.(load|store|exchange|fetch_add|fetch_sub|fetch_and|fetch_or|fetch_xor|compare_exchange_weak|compare_exchange_strong|test_and_set|clear|wait|notify_one|notify_all)\('

@@ -90,8 +90,8 @@ namespace tbwf::qa {
 // environment Env (pid(), now()), the owner of the registers Home
 // (n(home), make, a non-step peek), and the awaitables: read, write,
 // one read pass over all records, and a local step (yield). The zoo
-// specialists (zoo/snapshot.hpp, turn_queue.hpp, ledger.hpp) are
-// written over the same policies.
+// specialists (zoo/snapshot.hpp, zoo/ledger.hpp) are written over the
+// same policies.
 // ---------------------------------------------------------------------------
 
 /// What both simulator policies share: the World as home, SimEnv as

@@ -9,9 +9,9 @@
 // no scheduler. RtFront is the front that threads call by id;
 // RtQaUniversal is it over qa::QaUniversal, RtQaBatched over the batched
 // engine qa::BatchedQaUniversal (qa/qa_batched.hpp), and the zoo
-// specialists (zoo/snapshot.hpp, turn_queue.hpp, ledger.hpp) run through
-// it too. The batched engine's one rt-only part, the board its waiters
-// poll, is RtBase::Board; the simulator's policies have an empty one.
+// specialists (zoo/snapshot.hpp, zoo/ledger.hpp) run through it too.
+// The batched engine's one rt-only part, the board its waiters poll, is
+// RtBase::Board; the simulator's policies have an empty one.
 //
 // A base-register abort -- the cell was busy -- simply aborts the
 // attempt, exactly like the simulator's AbortableBase. Solo operations

@@ -1,6 +1,5 @@
-// What the zoo's register specialists (snapshot.hpp, turn_queue.hpp,
-// ledger.hpp) share: the per-process slice and the rule for a base
-// operation that aborted.
+// What the zoo's register specialists (snapshot.hpp, ledger.hpp) share:
+// the per-process slice and the rule for a base operation that aborted.
 //
 // Each specialist is one coroutine protocol written over a base-register
 // policy (qa/qa_universal.hpp): qa::AtomicBase and qa::AbortableBase in
@@ -15,11 +14,7 @@
 //  - an aborted read, before the operation made anything visible,
 //    answers bottom with fate F;
 //  - a write whose landing makes the operation visible (a segment, a
-//    ledger entry, a committed item, a confirmed claim) is never
-//    retracted: it is parked, and lands later;
-//  - a write that only publishes intent (a tentative item, a pending
-//    claim) is voided: its record with the intent retracted is parked,
-//    with fate F;
+//    ledger entry) is never retracted: it is parked, and lands later;
 //  - every bottom leaves at most one parked write. query, and the next
 //    invoke, write it again before anything else, and query answers the
 //    fate its landing decides (bottom while it keeps aborting).

@@ -3,7 +3,7 @@
 // Every zoo object -- handwritten specialist or QA-universal twin --
 // meets verify::ZooObject (verify/qa_harness.hpp): the T_QA surface
 // plus a fingerprint and an abstract state. The specialists
-// (snapshot.hpp, turn_queue.hpp, ledger.hpp) implement it natively;
+// (snapshot.hpp, ledger.hpp) implement it natively;
 // verify::UniversalZoo and verify::BatchedZoo adapt the QA engines onto
 // it. verify::ZooExploredRun then drives ANY such object through the
 // bounded-DFS explorer and grades every interleaving with the Wing-Gong

@@ -1,13 +1,13 @@
 // Sequential specification types for the data-structure zoo.
 //
-// Each zoo object exists twice -- as a QA-universal instantiation
-// (these types plugged into QaUniversal / BatchedQaUniversal) and as a
-// handwritten register-based specialist (snapshot.hpp, turn_queue.hpp,
-// ledger.hpp). The types below are the *common spec*: the universal
-// twin executes them directly, the Wing-Gong oracle replays candidate
-// linearizations of BOTH twins against them, and the differential
-// cross-check folds Ok results of both twins through them to compare
-// final abstract states.
+// Each zoo object runs as a QA-universal instantiation (these types
+// plugged into QaUniversal / BatchedQaUniversal); the snapshot and the
+// ledger also exist as a handwritten register-based specialist
+// (snapshot.hpp, ledger.hpp). The types below are the *common spec*:
+// the universal twin executes them directly, the Wing-Gong oracle
+// replays candidate linearizations of every twin against them, and the
+// differential cross-check folds Ok results of both twins through them
+// to compare final abstract states.
 //
 // States are deliberately encoded in hashable containers
 // (vector/deque of int64) so DefaultStateHash and the harness

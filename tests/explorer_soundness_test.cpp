@@ -32,7 +32,6 @@
 #include "verify/qa_harness.hpp"
 #include "zoo/ledger.hpp"
 #include "zoo/snapshot.hpp"
-#include "zoo/turn_queue.hpp"
 #include "zoo/zoo_harness.hpp"
 
 namespace tbwf::verify {
@@ -166,15 +165,6 @@ TEST(PruningSoundness, SnapshotSpecialistKeepsEveryOutcome) {
                     zoo::snapshot_explore_config(2)),
                 500, 60000)),
             3u);
-}
-
-TEST(PruningSoundness, QueueSpecialistKeepsEveryOutcome) {
-  using Q = zoo::BoundedQueueOf<2>;
-  EXPECT_EQ((expect_pruning_keeps_outcomes<Q>(
-                specialist_factory<Q, zoo::TurnQueue<2>>(
-                    zoo::queue_explore_config<2>(2)),
-                500, 60000)),
-            11u);
 }
 
 TEST(PruningSoundness, LedgerSpecialistKeepsEveryOutcome) {

@@ -24,7 +24,7 @@
 #include "soak/soak.hpp"
 #include "verify/artifact.hpp"
 #include "verify/explorer.hpp"
-#include "zoo/turn_queue.hpp"
+#include "zoo/ledger.hpp"
 #include "zoo/zoo_harness.hpp"
 
 namespace tbwf {
@@ -131,50 +131,51 @@ TEST(ReplayDeterminism, SoakSeedsDiverge) {
 
 // -- zoo counterexample artifacts -----------------------------------------
 
-/// The zoo's canonical counterexample generator: two dequeuers race for
-/// one item through a TurnQueue whose claim-validation collect is
-/// mutated away, and both walk off with the same value. The artifact
-/// the explorer emits for that violation must replay bit-identically --
-/// twice, and through the on-disk save/load round trip, because what CI
-/// uploads is exactly what a developer replays locally.
+/// The zoo's canonical counterexample generator: a WfLedger whose puts
+/// label with a process-local timestamp instead of a collected one.
+/// When p1 runs strictly after p0, its put(7, 30) is ranked below p0's
+/// second put, and its get(7) returns 20 where real time forces 30. The
+/// artifact the explorer emits for that violation must replay
+/// bit-identically -- twice, and through the on-disk save/load round
+/// trip, because what CI uploads is exactly what a developer replays
+/// locally.
 TEST(ReplayDeterminism, ZooCounterexampleArtifactReplaysBitIdentically) {
-  using Q = zoo::BoundedQueueOf<4>;
-  using Spec = zoo::TurnQueue<4>;
+  using L = zoo::LedgerType;
+  using Spec = zoo::WfLedger<>;
 
-  zoo::ZooExploreConfig<Q> config;
+  zoo::ZooExploreConfig<L> config;
   config.n = 2;
-  config.initial = {100};
   config.ops.resize(2);
-  config.ops[0] = {Q::dequeue()};
-  config.ops[1] = {Q::dequeue()};
+  config.ops[0] = {L::put(7, 10), L::put(7, 20)};
+  config.ops[1] = {L::put(7, 30), L::get(7)};
 
-  const typename verify::ZooExploredRun<Q, Spec>::Maker maker =
-      [](sim::World& w, const Q::State& init) {
+  const typename verify::ZooExploredRun<L, Spec>::Maker maker =
+      [](sim::World& w, const L::State& init) {
         auto obj = std::make_unique<Spec>(w, init);
-        obj->set_mutations(zoo::TurnQueueMutations{.drop_claim_fence = true});
+        obj->set_mutations(zoo::LedgerMutations{.stale_ts = true});
         return obj;
       };
   const verify::RunFactory factory =
-      verify::make_zoo_run_factory<Q, Spec>(config, maker);
+      verify::make_zoo_run_factory<L, Spec>(config, maker);
 
   verify::ExplorerOptions opt;
-  opt.name = "replay-zoo-queue-dropfence";
+  opt.name = "replay-zoo-ledger-stalets";
   opt.max_depth = 500;
   opt.max_runs = 60000;
   const verify::ExploreResult result = verify::Explorer(factory, opt).explore();
   // Search pin: exact ExploreStats of this configuration. They move only
   // if the explorer's search itself changes (docs/VERIFY.md).
   EXPECT_EQ(result.stats.summary(),
-            "runs=5 steps=161 distinct_states=34 sleep_skips=8 "
+            "runs=1 steps=65 distinct_states=11 sleep_skips=0 "
             "preemption_skips=0 state_prunes=0");
-  EXPECT_EQ(result.artifact.schedule.size(), 14u);
-  EXPECT_EQ(result.artifact.trace_digest, 0x906287546366ba8aull);
+  EXPECT_EQ(result.artifact.schedule.size(), 10u);
+  EXPECT_EQ(result.artifact.trace_digest, 0x330bdccf20c51d2eull);
   ASSERT_TRUE(result.violation_found) << result.summary();
   ASSERT_FALSE(result.artifact.schedule.empty());
 
   // Round-trip the artifact through its file format first; all replays
   // below run from the LOADED copy, not the in-memory original.
-  const std::string path = ::testing::TempDir() + "zoo_dropfence_cex.txt";
+  const std::string path = ::testing::TempDir() + "zoo_stalets_cex.txt";
   ASSERT_TRUE(result.artifact.save(path));
   const auto loaded = verify::CounterexampleArtifact::load(path);
   std::remove(path.c_str());

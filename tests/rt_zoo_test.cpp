@@ -1,7 +1,8 @@
-// Real-thread zoo: the specialists (WfSnapshot, TurnQueue, WfLedger --
-// the explorer-checked sim coroutines, instantiated on rt::RtBase's
+// Real-thread zoo: the specialists (WfSnapshot, WfLedger -- the
+// explorer-checked sim coroutines, instantiated on rt::RtBase's
 // try-lock abortable registers and run through rt::RtFront) and the rt
-// universal twins (RtQaUniversal over the same zoo_types.hpp specs),
+// universal twins (RtQaUniversal over the same zoo_types.hpp specs; the
+// bounded queue has only this twin),
 // all graded by the SAME Wing-Gong oracle as the sim twins. Real-time
 // operation intervals come from a global atomic ticket stamped at
 // invocation and at fate settlement; per-thread histories are merged
@@ -21,7 +22,6 @@
 #include "verify/lin_oracle.hpp"
 #include "zoo/ledger.hpp"
 #include "zoo/snapshot.hpp"
-#include "zoo/turn_queue.hpp"
 #include "zoo/zoo_types.hpp"
 
 namespace tbwf::zoo {
@@ -32,8 +32,6 @@ using verify::OpStatus;
 
 using RtSnapshot = rt::RtFront<WfSnapshot<rt::RtBase>>;
 using RtLedger = rt::RtFront<WfLedger<rt::RtBase>>;
-template <int Cap>
-using RtQueue = rt::RtFront<TurnQueue<Cap, rt::RtBase>>;
 
 // -- rt history driver ----------------------------------------------------
 
@@ -190,8 +188,8 @@ TEST(RtZoo, LedgerUniversalContendedLinearizable) {
 using RtQ4 = BoundedQueueOf<4>;
 
 TEST(RtZoo, QueueSoloFifoFullEmptyExact) {
-  RtQueue<2> q(1, {});
   using Q = BoundedQueueOf<2>;
+  rt::RtQaUniversal<Q> q(1, {});
   auto r = q.invoke(0, Q::enqueue(1));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value, 1);
@@ -238,14 +236,6 @@ void check_rt_conservation(const std::vector<HistoryOp<RtQ4>>& history) {
         << "dequeued " << v << " was never enqueued (or dequeued twice)";
     enq.erase(it);
   }
-}
-
-TEST(RtZoo, QueueSpecialistContendedLinearizable) {
-  constexpr int kThreads = 3;
-  RtQueue<4> q(kThreads, {});
-  const auto history = run_threads<RtQ4>(q, queue_ops(kThreads, 4));
-  check_rt_conservation(history);
-  expect_linearizable<RtQ4>(history, {}, "rt-queue-spec");
 }
 
 TEST(RtZoo, QueueUniversalContendedLinearizable) {

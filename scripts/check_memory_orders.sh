@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Lint the code that runs on real threads for implicit-seq_cst atomic
 # operations: src/rt/, plus the QA universal construction, the batched
-# engine, the zoo specialists and the Co coroutine type, which the rt
-# backend runs as they are.
+# engine, the zoo specialists, the Figure 7 object and the Co coroutine
+# type, which the rt backend runs as they are.
 #
 # The rt memory-order discipline (docs/MODEL.md, "The rt memory model")
 # requires every atomic operation in that code to name its memory order
@@ -19,7 +19,7 @@ set -u
 fail=0
 files="$(find src/rt -name '*.hpp' -o -name '*.cpp') src/qa/qa_universal.hpp
   src/qa/qa_batched.hpp src/zoo/specialist.hpp src/zoo/snapshot.hpp
-  src/zoo/ledger.hpp src/sim/co.hpp"
+  src/zoo/ledger.hpp src/core/tbwf_object.hpp src/sim/co.hpp"
 
 ops='\.(load|store|exchange|fetch_add|fetch_sub|fetch_and|fetch_or|fetch_xor|compare_exchange_weak|compare_exchange_strong|test_and_set|clear|wait|notify_one|notify_all)\('
 # A call may wrap; accept a memory_order named on the call line or on

@@ -8,7 +8,8 @@
 // Co::run_inline() completes every operation on the calling thread with
 // no scheduler. RtFront is the front that threads call by id;
 // RtQaUniversal is it over qa::QaUniversal, RtQaBatched over the batched
-// engine qa::BatchedQaUniversal (qa/qa_batched.hpp), and the zoo
+// engine qa::BatchedQaUniversal (qa/qa_batched.hpp), RtTbwfObject over
+// the Figure 7 object core::TbwfObject (rt/rt_tbwf.hpp), and the zoo
 // specialists (zoo/snapshot.hpp, zoo/ledger.hpp) run through it too.
 // The batched engine's one rt-only part, the board its waiters poll, is
 // RtBase::Board; the simulator's policies have an empty one.
@@ -215,9 +216,9 @@ struct RtBase {
 /// A coroutine object written over a base-register policy, run on
 /// threads: `Inner` is instantiated on RtBase, thread `tid` drives
 /// process `tid`, and each call runs one operation to completion inline.
-/// RtQaUniversal adds the QA construction's frontier accessors and
-/// RtQaBatched the batched engine's surfaces; the zoo specialists run
-/// through this front as they are.
+/// RtQaUniversal adds the QA construction's frontier accessors,
+/// RtQaBatched the batched engine's surfaces and RtTbwfObject the
+/// lease; the zoo specialists run through this front as they are.
 template <class Inner>
 class RtFront {
  public:
@@ -237,8 +238,8 @@ class RtFront {
   RtFront(const RtFront&) = delete;
   RtFront& operator=(const RtFront&) = delete;
 
-  /// Apply `op`; returns bottom under contention. Called by thread
-  /// `tid` only (each tid must be driven by a single thread).
+  /// Apply `op` (a QA object returns bottom under contention). Called by
+  /// thread `tid` only (each tid must be driven by a single thread).
   Response invoke(Tid tid, Op op) {
     RtEnv env{pid_of(tid)};
     return inner_.invoke(env, std::move(op)).run_inline();

@@ -1,26 +1,24 @@
-// Real-threads TBWF-style counter: the Figure 7 structure ported to
-// wall-clock time for the E11 benchmark.
+// Figure 7 on real threads.
 //
 // Timeliness in a deployed system is wall-clock responsiveness, so the
 // Omega-Delta role is played by a LEASE: a thread leads for a bounded
 // real-time window; if it is descheduled (not timely), the lease
 // expires and leadership moves on -- the graceful-degradation shape of
-// the paper, in clock units. The shared object is a query-abortable
-// counter over a try-lock cell (RtAbortableReg): the leader retries the
-// abortable fast path it mostly wins because non-leaders back off.
+// the paper, in clock units. RtTbwfObject is core::TbwfObject, the one
+// Figure 7 coroutine, over RtBase (rt/rt_qa.hpp) and LeaseLeader.
+//
+// The canonical wait of line 2 runs here too: a thread that still holds
+// a live lease when it invokes waits for the lease to lapse and runs
+// its operation under a new tenure. Operations release the lease when
+// they complete, so the wait holds up only a thread that took the lease
+// outside the object. What the lease lacks is Omega-Delta's guarantee:
+// nothing elects a timely thread in particular, and a freed lease goes
+// to whichever thread tries first.
 //
 // This port is a pragmatic engineering artifact: the lease CAS is a
 // strong primitive the paper's construction deliberately avoids; the
-// simulator backend is the register-only reproduction. E11 only uses
-// this to price the approach against a mutex and a CAS loop on real
-// threads. Fairness note: nothing forces leadership to rotate. A
-// finishing leader releases the lease and returns without waiting; its
-// next operation may win the lease straight back. Non-leaders retry
-// after a bounded backoff (RtTbwfCounter yields every 64 failed tries,
-// RtTbwfObject retries 6 times at once, then backs off exponentially
-// up to 64 yields), so a freed lease goes to whichever thread tries
-// first. That is weaker than the canonical-use discipline of
-// Definition 6.
+// simulator backend is the register-only reproduction. E11 prices the
+// object against a mutex, a CAS loop and a fetch_add on real threads.
 #pragma once
 
 #include <atomic>
@@ -28,9 +26,9 @@
 #include <cstdint>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "registers/abort_policy.hpp"
-#include "rt/rt_registers.hpp"
 #include "util/cacheline.hpp"
 
 namespace tbwf::rt {
@@ -394,129 +392,78 @@ class LeaseElector {
   ClockFn clock_;
 };
 
-/// TBWF-style wall-clock counter (see file comment for the caveats).
-///
-/// NOTE: this is the lightweight demo path -- a raw read-modify-write
-/// under the lease. The write is guarded: the lease is validated after
-/// the cell is acquired (RtAbortableReg::write_if), so a leader that was
-/// descheduled past its lease between its read and its write is refused
-/// once the next leader has touched the cell, and it re-elects and
-/// re-reads instead of overwriting the next leader's increments. Every
-/// increment then lands exactly once whatever the preemption, though
-/// the count is only as live as the lease. RtTbwfObject<qa::Counter>
-/// (uid-deduplicated, Figure 7) is the paper's construction;
-/// bench_rt_throughput prices both.
-class RtTbwfCounter {
- public:
-  explicit RtTbwfCounter(
-      std::chrono::nanoseconds lease_term = std::chrono::microseconds(50))
-      : elector_(lease_term), cell_(0) {}
-
-  /// Increment; returns the value before the increment.
-  std::int64_t fetch_add(std::uint32_t tid, std::int64_t delta) {
-    for (int spin = 0;; ++spin) {
-      std::uint64_t token = 0;
-      if (elector_.try_lead(tid, &token)) {
-        // Leader: drive the abortable object until the op lands.
-        for (;;) {
-          auto v = cell_.read();
-          if (!v.has_value()) continue;  // abort: retry (we lead)
-          const GuardedWrite w = cell_.write_if(
-              *v + delta, [&] { return elector_.validate(tid, token); });
-          if (w == GuardedWrite::Refused) break;  // lost the lease
-          if (w == GuardedWrite::Written) {
-            elector_.release(tid);
-            return *v;
-          }
-        }
-        continue;  // fenced out mid-operation: re-elect and retry
-      }
-      // Not the leader: back off politely (non-leaders must leave the
-      // abortable cell alone so the leader's ops run solo).
-      if (spin % 64 == 63) std::this_thread::yield();
-    }
-  }
-
-  LeaseElector& elector() { return elector_; }
-
- private:
-  LeaseElector elector_;
-  RtAbortableReg<std::int64_t> cell_;
-};
-
 }  // namespace tbwf::rt
 
+#include "core/tbwf_object.hpp"
 #include "qa/sequential_type.hpp"
 #include "rt/rt_qa.hpp"
 
 namespace tbwf::rt {
 
-/// The Figure 7 transformation on real threads, for any Sequential type:
-/// leadership comes from the wall-clock lease (the rt stand-in for
-/// Omega-Delta -- see the file comment above), the object is the
-/// query-abortable universal construction run on threads (rt_qa.hpp).
-/// While a thread holds the lease it drives the op/query automaton of
-/// Figure 8; when the lease is lost mid-operation the floating value is
-/// either adopted by the next leader or permanently displaced, and the
-/// thread's next query resolves which.
-template <qa::Sequential S>
-class RtTbwfObject {
+/// core::TbwfObject's Leader on threads: a thread leads while it holds
+/// a live lease, and backs off by exponentially more yields (up to 64)
+/// until it wins one.
+class LeaseLeader {
  public:
-  using State = typename S::State;
-  using Op = typename S::Op;
-  using Result = typename S::Result;
-  using Tid = std::uint32_t;
+  LeaseLeader(int nthreads, std::chrono::nanoseconds lease_term)
+      : elector_(lease_term), lost_(nthreads) {}
 
-  RtTbwfObject(int nthreads, State initial,
-               std::chrono::nanoseconds lease_term =
-                   std::chrono::microseconds(50))
-      : elector_(lease_term), qa_(nthreads, std::move(initial)) {}
-
-  /// Execute `op`; returns only when it took effect exactly once.
-  ///
-  /// The Figure 8 automaton, verbatim: the next O_QA operation is `op`
-  /// until an invoke has been issued; after any bottom it is `query`;
-  /// after F it is `op` again. The automaton state survives leadership
-  /// changes -- re-invoking before the previous invoke's fate is
-  /// resolved could double-apply the operation (the floating accept can
-  /// still be adopted by a later leader). Non-leaders wait out the
-  /// leader with bounded exponential backoff instead of burning the
-  /// core (they must also leave the registers alone, so waiting is all
-  /// they can usefully do).
-  Result invoke(Tid tid, Op op) {
-    bool unresolved = false;  // an invoke is in flight with unknown fate
-    int lost_elections = 0;
-    for (;;) {
-      if (!elector_.try_lead(tid)) {
-        back_off(lost_elections++);
-        continue;
-      }
-      lost_elections = 0;
-      auto r = unresolved ? qa_.query(tid) : qa_.invoke(tid, op);
-      if (!unresolved) unresolved = true;
-      if (r.ok()) {
-        elector_.release(tid);
-        return std::move(r.value);
-      }
-      if (r.not_applied()) unresolved = false;  // F is final: safe to retry
-      // bottom: keep querying (possibly after re-winning the lease)
-    }
+  /// Line 2: a live lease is the current tenure, so it validates at the
+  /// current fence; the clock is read only if the word names the caller.
+  bool leader_is_self(RtEnv& env) const {
+    return elector_.validate(tid(env), elector_.fence());
+  }
+  /// Line 6: win the lease, or renew the one held.
+  bool lead(RtEnv& env) {
+    if (!elector_.try_lead(tid(env))) return false;
+    *lost_[env.pid()] = 0;
+    return true;
+  }
+  /// Lines 3 and 8: trying is candidacy; withdrawing frees the lease.
+  void set_candidate(RtEnv& env, bool candidate) {
+    if (!candidate) elector_.release(tid(env));
+  }
+  /// Backs off, then lets the caller go on at once.
+  std::suspend_never back_off(RtEnv& env) {
+    static const registers::BoundedBackoff kBackoff{
+        {.base = 1, .cap = 64, .free_retries = 6}};
+    const std::uint64_t yields = kBackoff.delay((*lost_[env.pid()])++);
+    for (std::uint64_t i = 0; i < yields; ++i) std::this_thread::yield();
+    return {};
   }
 
-  RtQaUniversal<S>& qa() { return qa_; }
   LeaseElector& elector() { return elector_; }
 
  private:
-  void back_off(int attempt) {
-    static const registers::BoundedBackoff kBackoff{
-        {.base = 1, .cap = 64, .free_retries = 6}};
-    const std::uint64_t yields = kBackoff.delay(attempt);
-    if (yields == 0) return;  // immediate retry: spin once more
-    for (std::uint64_t i = 0; i < yields; ++i) std::this_thread::yield();
+  static std::uint32_t tid(const RtEnv& env) {
+    return static_cast<std::uint32_t>(env.pid());
   }
 
   LeaseElector elector_;
-  RtQaUniversal<S> qa_;
+  /// Waits since the thread last won the lease; thread t's slot only.
+  std::vector<util::CachelinePadded<int>> lost_;
+};
+
+/// core::TbwfObject on threads. When the lease is lost mid-operation the
+/// floating value is either adopted by the next leader or permanently
+/// displaced, and the thread's next query resolves which.
+template <qa::Sequential S>
+class RtTbwfObject
+    : public RtFront<core::TbwfObject<S, RtBase, LeaseLeader>> {
+  using Front = RtFront<core::TbwfObject<S, RtBase, LeaseLeader>>;
+
+ public:
+  using typename Front::State;
+
+  explicit RtTbwfObject(int nthreads, State initial,
+                        std::chrono::nanoseconds lease_term =
+                            std::chrono::microseconds(50))
+      : Front(nthreads, std::move(initial), lease_term) {}
+
+  /// The query-abortable object; inspect it only while no thread is
+  /// operating.
+  qa::QaUniversal<S, RtBase>& qa() { return this->inner_.qa(); }
+  LeaseElector& elector() { return this->inner_.leader().elector(); }
 };
 
 }  // namespace tbwf::rt

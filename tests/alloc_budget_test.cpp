@@ -16,9 +16,9 @@
 // The QA construction shares decided states by pointer: a solo
 // RtTbwfObject op builds one new state (a copy of the frontier with the
 // op applied) and otherwise copies pointers, so it allocates that state,
-// the one coroutine frame the operation runs in, and the result it
-// hands back. Its budget is an exact count, so it gates the saving that
-// wall-clock numbers only report.
+// two coroutine frames (the Figure 7 loop and the QA operation it
+// drives), and the result it hands back. Its budget is an exact count,
+// so it gates the saving that wall-clock numbers only report.
 //
 // Sanitizer runtimes interpose their own allocator, so the test skips
 // itself there.
@@ -109,12 +109,13 @@ double allocations_per_solo_op(typename S::State initial, MakeOp make_op) {
   return static_cast<double>(g_allocations - before) / kOps;
 }
 
-TEST(AllocBudget, SoloRtTbwfCounterOpStaysWithinBudget) {
+TEST(AllocBudget, SoloRtTbwfObjectCounterOpStaysWithinBudget) {
 #ifdef TBWF_UNDER_SANITIZER
   GTEST_SKIP() << "sanitizer allocators make the count meaningless";
 #endif
   // One new state (its last_uid/last_result stay inline at n = 3) and
-  // the operation's coroutine frame: 2 per op.
+  // the two coroutine frames, Figure 7's and the QA operation's: 3 per
+  // op.
   const double per_op = allocations_per_solo_op<qa::Counter>(
       0, [](int) { return qa::Counter::Op{1}; });
   EXPECT_LE(per_op, 6.0);
@@ -126,9 +127,9 @@ TEST(AllocBudget, SoloRtTbwfSnapshotOpStaysWithinBudget) {
   GTEST_SKIP() << "sanitizer allocators make the count meaningless";
 #endif
   // Alternating own-segment updates and 64-segment scans. Beyond the
-  // new state and the frame, a scan pays for its view: in the state and
-  // in the response, which RtTbwfObject::invoke moves out to the caller
-  // (4.5 per op on average).
+  // new state and the two frames, a scan pays for its view: in the
+  // state and in the response, which the Figure 7 loop moves out to the
+  // caller (5.5 per op on average).
   using zoo::SnapshotType;
   const double per_op = allocations_per_solo_op<SnapshotType>(
       SnapshotType::initial(64), [](int i) {

@@ -201,10 +201,11 @@ TEST(LeaseElectorFenceTest, RevokeOfANonHolderIsANoOp) {
   EXPECT_TRUE(e.validate(1, t1));
 }
 
-// RtTbwfCounter's leader step replayed by hand on the synthetic clock:
-// read the count, then write it plus one under a guard that validates
-// the lease once the cell is held. A leader descheduled between its read
-// and its write must not overwrite its successor's increment.
+// A leased read-modify-write of one cell, replayed by hand on the
+// synthetic clock: read the count, then write it plus one under a guard
+// that validates the lease once the cell is held. A leader descheduled
+// between its read and its write must not overwrite its successor's
+// increment.
 TEST(LeaseElectorFenceTest, GuardedWriteRefusesAFormerLeader) {
   LeaseElector e = make_elector(10000);
   RtAbortableReg<std::int64_t> cell(0);

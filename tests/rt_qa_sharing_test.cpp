@@ -54,7 +54,7 @@ TEST(RtQaStateSharing, TbwfObjectLiveStatesBoundedAndFreed) {
       });
     }
     for (auto& th : pool) th.join();
-    EXPECT_EQ(obj.qa().frontier_snapshot().state.value,
+    EXPECT_EQ(obj.qa().peek_frontier().state.value,
               kThreads * kOpsPerThread);
   }
   const std::int64_t peak = g_peak_states.load(std::memory_order_relaxed);
